@@ -14,6 +14,7 @@ from .arith import (
     is_prime,
     shifted_smooth_set,
     sieve,
+    sieve_window,
     smooth_set,
 )
 from .mwitness import (
@@ -45,6 +46,7 @@ from .sets import (
     CompositeCoverReport,
     DecompositionCandidate,
     IntegerSet,
+    ResourceLimitError,
     WindowError,
     decompose_search,
     productset,

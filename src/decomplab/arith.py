@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import IntegerSet
+from .sets import IntegerSet, ResourceLimitError
 
 MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
 _U64 = 1 << 64
@@ -17,7 +17,8 @@ _U64 = 1 << 64
 # deterministic for every n < 2**64 (indeed below 3.3 * 10**24).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-SEGMENT_BITS = 1 << 20
+SEGMENT_BITS = 1 << 20  # odd numbers per sieve segment: 1 MiB of flags, 2**21 integers
+_BASE_PRIME_LIMIT = 1 << 24  # largest base prime, so windows reach 2**48
 _DEFAULT_SIEVE_BUDGET = 1 << 31  # bytes of packed bits
 _SIEVE_MAGIC = b"PSV1"
 
@@ -77,6 +78,19 @@ class PrimeSieve:
     def primes(self) -> np.ndarray:
         return np.flatnonzero(self.mask())
 
+    def largest_prime(self) -> int | None:
+        """The largest prime <= limit, read from the last nonzero byte."""
+        raw = np.frombuffer(self.bits, dtype=np.uint8)
+        end = len(raw)
+        while end:
+            start = max(end - 4096, 0)
+            nonzero = np.flatnonzero(raw[start:end])
+            if len(nonzero):
+                j = start + int(nonzero[-1])
+                return 8 * j + int(raw[j]).bit_length() - 1
+            end = start
+        return None
+
     def save(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(_SIEVE_MAGIC)
@@ -94,6 +108,8 @@ class PrimeSieve:
         expected = (limit + 8) // 8
         if len(bits) != expected:
             raise ValueError(f"{path}: expected {expected} bitset bytes, found {len(bits)}")
+        if bits[-1] >> ((limit & 7) + 1):
+            raise ValueError(f"{path}: padding bits past limit {limit} are set")
         return cls(limit=limit, bits=bits)
 
 
@@ -107,27 +123,76 @@ def _dense_prime_mask(n: int) -> np.ndarray:
     return mask
 
 
+def _odd_segments(lo: int, hi: int):
+    """Segmented sieve of Eratosthenes over the odd numbers of [lo, hi].
+
+    Yields (s, flags) with s odd and flags[i] telling whether s + 2i is
+    prime, at most SEGMENT_BITS flags at a time, crossing off with the odd
+    base primes up to isqrt(hi).  The prime 2 is left to the caller.
+    """
+    root = math.isqrt(hi)
+    if root > _BASE_PRIME_LIMIT:
+        raise ResourceLimitError(
+            f"sieving up to {hi} needs base primes above the {_BASE_PRIME_LIMIT} limit"
+        )
+    base = np.flatnonzero(_dense_prime_mask(root))[1:]
+    squares = base * base
+    primes = base.tolist()
+    for s in range(lo | 1, hi + 1, 2 * SEGMENT_BITS):
+        n = (min(s + 2 * SEGMENT_BITS - 1, hi) - s) // 2 + 1
+        flags = np.ones(n, dtype=bool)
+        # the first odd multiple of p at or above max(p*p, s)
+        first = np.maximum(squares, (s + base - 1) // base * base)
+        first += base * (first % 2 == 0)
+        for p, i in zip(primes, ((first - s) // 2).tolist()):
+            if i < n:
+                flags[i::p] = False
+        if s == 1:
+            flags[0] = False
+        yield s, flags
+
+
+def sieve_window(lo: int, hi: int) -> np.ndarray:
+    """Primality over [lo, hi]: element i tells whether lo + i is prime.
+
+    Costs the window plus one segment of memory, however high lo is; the
+    result is empty when lo > hi.
+    """
+    if lo < 0:
+        raise ValueError(f"sieve_window needs lo >= 0, got {lo}")
+    out = np.zeros(max(hi - lo + 1, 0), dtype=bool)
+    if lo > hi:
+        return out
+    for s, flags in _odd_segments(lo, hi):
+        out[s - lo: s - lo + 2 * len(flags): 2] = flags
+    if lo <= 2 <= hi:
+        out[2 - lo] = True
+    return out
+
+
 def sieve(limit: int, max_bytes: int = _DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
-    """Segmented sieve of Eratosthenes; O(limit/8) bytes of result bits plus
-    one segment of working space."""
+    """The kernel's odd-number segments over [0, limit], packed; O(limit/8)
+    bytes of result bits plus one segment of working space."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    if (limit + 8) // 8 > max_bytes:
-        raise MemoryError(f"sieve to {limit} exceeds the {max_bytes}-byte budget")
-    base_primes = [int(p) for p in np.flatnonzero(_dense_prime_mask(math.isqrt(limit)))]
-    nbits = limit + 1
-    chunks = []
-    for start in range(0, nbits, SEGMENT_BITS):
-        seg_len = min(SEGMENT_BITS, nbits - start)
-        seg = np.ones(seg_len, dtype=bool)
-        if start == 0:
-            seg[: min(2, seg_len)] = False
-        for p in base_primes:
-            first = max(p * p, ((start + p - 1) // p) * p)
-            if first < start + seg_len:
-                seg[first - start:: p] = False
-        chunks.append(np.packbits(seg, bitorder="little").tobytes())
-    return PrimeSieve(limit=limit, bits=b"".join(chunks))
+    nbytes = (limit + 8) // 8
+    if nbytes > max_bytes:
+        raise ResourceLimitError(f"sieve to {limit} exceeds the {max_bytes}-byte budget")
+    # spread[v] puts the 8 bits of v on the odd bit positions of 16 bits; it
+    # is built here, not at import, to keep numpy's ufuncs out of start-up
+    nibble = np.array([0, 2, 8, 10, 32, 34, 40, 42, 128, 130, 136, 138, 160, 162, 168, 170],
+                      dtype="<u2")
+    spread = nibble[np.arange(256) & 15] | nibble[np.arange(256) >> 4] << 8
+    bits = np.zeros(nbytes + 1, dtype=np.uint8)  # the last segment may spill one byte
+    for s, flags in _odd_segments(0, limit):
+        # s - 1 is a multiple of 16; each byte of 8 odd flags spreads to the
+        # odd bit positions of the 2 bytes for 16 integers
+        packed = np.packbits(flags, bitorder="little")
+        j = s >> 3
+        np.take(spread, packed, out=bits[j: j + 2 * len(packed)].view("<u2"))
+    if limit >= 2:
+        bits[0] |= 1 << 2
+    return PrimeSieve(limit=limit, bits=bits[:nbytes].tobytes())
 
 
 _TRIAL_PRIMES = tuple(int(p) for p in np.flatnonzero(_dense_prime_mask(1 << 10)))
@@ -258,17 +323,16 @@ def _gpf_table(limit: int) -> np.ndarray:
     if limit >= 1:
         table[1] = 1
     if limit >= 2:
-        for p in sieve(limit).primes():
-            p = int(p)
+        for p in np.flatnonzero(sieve_window(0, limit)).tolist():
             table[p:: p] = p
     return table
 
 
 def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
     if policy.kind == "composites":
-        prime = sieve(limit).mask() if limit >= 2 else np.zeros(limit + 1, dtype=bool)
-        idx = np.arange(limit + 1)
-        return (idx >= 2) & ~prime
+        composite = ~sieve_window(0, limit)
+        composite[:2] = False
+        return composite
     gpf = _gpf_table(limit)
     if policy.kind == "fixed":
         keep = gpf <= policy.bound
@@ -286,7 +350,7 @@ def smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     values = np.flatnonzero(_smooth_mask(policy, limit))
-    return IntegerSet(tuple(int(v) for v in values), 1, limit)
+    return IntegerSet(tuple(values.tolist()), 1, limit)
 
 
 def shifted_smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = verified / witness found / enumeration done, 1 = a check
 failed or the scan contradicts the predicted outcome, 2 = inconclusive
-(nothing found below the stated bound), 64 = usage error.
+(nothing found below the stated bound), 3 = refused at a resource limit,
+64 = usage error.
 """
 
 from __future__ import annotations
@@ -14,8 +15,17 @@ import sys
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
-from .arith import PrimeSieve, SmoothnessPolicy, shifted_smooth_set, sieve, smooth_set
+from .arith import (
+    PrimeSieve,
+    SmoothnessPolicy,
+    shifted_smooth_set,
+    sieve,
+    sieve_window,
+    smooth_set,
+)
 from .mwitness import multiplicative_witness
 from .semigroup import (
     GammaSemigroup,
@@ -29,12 +39,19 @@ from .semigroup import (
     two_term_min_exponent_bound,
     verify_exceptional_factorization,
 )
-from .sets import IntegerSet, decompose_search, verify_composite_decomposition
+from .sets import (
+    IntegerSet,
+    ResourceLimitError,
+    check_mask_budget,
+    decompose_search,
+    verify_composite_decomposition,
+)
 from .tuples import OffsetTuple, additive_witness, find_constellation, is_admissible, select_triple
 
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
+EXIT_RESOURCE = 3
 EXIT_USAGE = 64
 
 _JSON_INT_CAP = 1 << 53
@@ -113,11 +130,10 @@ def _cmd_sieve(args):
         ps = sieve(args.limit)
         if args.cache:
             ps.save(args.cache)
-    primes = ps.primes()
     result = {
         "limit": args.limit,
         "prime_count": ps.count(),
-        "largest_prime": int(primes[-1]) if len(primes) else None,
+        "largest_prime": ps.largest_prime(),
         "cache": args.cache,
         "cache_used": cache_used,
     }
@@ -230,9 +246,10 @@ def _cmd_decompose(args):
         if args.window is None:
             raise _UsageError("--composites needs --window LO,HI")
         lo, hi = _parse_window(args.window)
-        mask = sieve(hi).mask()
-        values = [n for n in range(max(lo, 2), hi + 1) if not mask[n]]
-        target = IntegerSet(tuple(values), lo, hi)
+        check_mask_budget(hi)
+        start = max(lo, 2)
+        values = np.flatnonzero(~sieve_window(start, hi)) + start
+        target = IntegerSet(tuple(values.tolist()), lo, hi)
         source = f"composites in [{lo}, {hi}]"
     else:
         raise _UsageError("decompose needs --target-file or --composites")
@@ -473,6 +490,9 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except ResourceLimitError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
     report = {
         "command": _command_name(args),
         "params": _params_record(args),

@@ -17,6 +17,18 @@ class WindowError(ValueError):
     """An operation needed data outside a set's asserted-complete window."""
 
 
+class ResourceLimitError(MemoryError):
+    """A request would exceed a fixed memory budget; raised before allocating."""
+
+
+def check_mask_budget(window_hi: int) -> None:
+    """Refuse a dense mask over [0, window_hi] larger than MASK_BUDGET."""
+    if window_hi + 1 > MASK_BUDGET:
+        raise ResourceLimitError(
+            f"window top {window_hi} too large for a dense mask (budget {MASK_BUDGET})"
+        )
+
+
 @dataclass(frozen=True)
 class IntegerSet:
     """Sorted, deduplicated non-negative integers, asserted complete on
@@ -71,8 +83,7 @@ class IntegerSet:
 
     def as_mask(self) -> np.ndarray:
         """Dense membership mask over [0, window_hi]."""
-        if self.window_hi + 1 > MASK_BUDGET:
-            raise MemoryError(f"window top {self.window_hi} too large for a dense mask")
+        check_mask_budget(self.window_hi)
         mask = np.zeros(self.window_hi + 1, dtype=bool)
         if self.elements:
             mask[np.fromiter(self.elements, dtype=np.int64)] = True
@@ -319,31 +330,42 @@ def verify_composite_decomposition(limit: int) -> CompositeCoverReport:
     """
     if limit < 20:
         raise ValueError("limit must be at least 20")
-    from .arith import sieve
+    from .arith import SEGMENT_BITS, sieve_window
 
-    prime = sieve(limit + 5).mask()
-    nonprime = ~prime
-    base = (
-        nonprime[0: limit + 1]
-        & nonprime[1: limit + 2]
-        & nonprime[3: limit + 4]
-        & nonprime[5: limit + 6]
-    ).copy()
-    base[0] = False
-    covered = np.zeros(limit + 1, dtype=bool)
-    for off in COVER_OFFSETS:
-        covered[off:] |= base[: limit + 1 - off]
-    idx = np.arange(limit + 1)
-    composite = (idx >= 2) & ~prime[: limit + 1]
-
-    diff = covered[9:] ^ composite[9:]
-    mismatches = np.flatnonzero(diff)
-    first = int(mismatches[0]) + 9 if len(mismatches) else None
+    halo = COVER_OFFSETS[-1]
+    step = 2 * SEGMENT_BITS - 2 * halo  # a window with both halos fills one segment
+    first = None
+    base_count = covered_count = composite_count = 0
+    for lo in range(0, limit + 1, step):
+        hi = min(lo + step - 1, limit)
+        w0 = max(lo - halo, 0)
+        nonprime = ~sieve_window(w0, hi + halo)  # element i is w0 + i
+        size = hi - w0 + 1
+        # A over [w0, hi]: the halo below lo feeds the cover of [lo, lo + 5)
+        base = nonprime[0:size].copy()
+        for off in COVER_OFFSETS[1:]:
+            base &= nonprime[off: off + size]
+        if w0 == 0:
+            base[0] = False
+        k = lo - w0
+        covered = np.zeros(hi - lo + 1, dtype=bool)
+        for off in COVER_OFFSETS:
+            skip = max(off - k, 0)  # no base element below w0
+            covered[skip:] |= base[k - off + skip: size - off]
+        composite = nonprime[k: k + hi - lo + 1]
+        c0 = max(9 - lo, 0)  # the cover is claimed on [9, limit]
+        base_count += int(np.count_nonzero(base[k:]))
+        covered_count += int(np.count_nonzero(covered[c0:]))
+        composite_count += int(np.count_nonzero(composite[c0:]))
+        if first is None:
+            mismatches = np.flatnonzero(covered[c0:] ^ composite[c0:])
+            if len(mismatches):
+                first = lo + c0 + int(mismatches[0])
     return CompositeCoverReport(
         limit=limit,
         passed=first is None,
         first_mismatch=first,
-        base_count=int(base.sum()),
-        covered_count=int(covered[9:].sum()),
-        composite_count=int(composite[9:].sum()),
+        base_count=base_count,
+        covered_count=covered_count,
+        composite_count=composite_count,
     )

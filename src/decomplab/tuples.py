@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_composite, is_prime, sieve
+from .arith import SEGMENT_BITS, is_composite, is_prime, sieve_window
 
 
 @dataclass(frozen=True)
@@ -104,36 +104,44 @@ def find_constellation(
     """
     if not is_admissible(t):
         raise ValueError("offsets must form an admissible pattern")
-    if lo > hi:
-        return []
     lo = max(lo, 0)
-    top = hi + max(t.offsets[-1], 0)
-    prime = sieve(max(top, 2)).mask()
-    count = hi - lo + 1
+    # the window around [a, b] runs from a + u_lo to b + u_hi; 0 is in the
+    # span for the composite test
+    u_lo, u_hi = min(t.offsets[0], 0), max(t.offsets[-1], 0)
+    halo = u_hi - u_lo
+    step = max(2 * SEGMENT_BITS - halo, SEGMENT_BITS)
+    hits = []
+    for a in range(lo, hi + 1, step):
+        b = min(a + step - 1, hi)
+        hits += _constellation_chunk(t, a, b, u_lo, u_hi, require_composite_center,
+                                     require_consecutive)
+    return hits
+
+
+def _constellation_chunk(t, a, b, u_lo, u_hi, composite_center, consecutive):
+    w0 = max(a + u_lo, 0)
+    prime = sieve_window(w0, b + u_hi)  # element i is w0 + i
+    count = b - a + 1
     ok = np.ones(count, dtype=bool)
     for u in t.offsets:
-        start = lo + u
+        start = a + u - w0
         if start >= 0:
             ok &= prime[start: start + count]
-        else:
-            shift = -start
-            if shift >= count:
-                return []
+        else:  # n + u < 0 for the first -start values of n
+            shift = min(-start, count)
             ok[:shift] = False
             ok[shift:] &= prime[: count - shift]
-    if require_composite_center:
-        idx = np.arange(lo, hi + 1)
-        ok &= (idx >= 2) & ~prime[lo: hi + 1]
-    hits = [int(lo + i) for i in np.flatnonzero(ok)]
-    if require_consecutive and len(t.offsets) >= 2 and hits:
-        counts = np.cumsum(prime, dtype=np.int64)  # counts[i] = primes <= i
-        u_lo, u_hi = t.offsets[0], t.offsets[-1]
-        inner_expected = len(t.offsets) - 2
-        hits = [
-            n for n in hits
-            if counts[n + u_hi - 1] - counts[n + u_lo] == inner_expected
-        ]
-    return hits
+    if composite_center:
+        ok &= ~prime[a - w0: a - w0 + count]
+        ok[: max(2 - a, 0)] = False
+    idx = np.flatnonzero(ok)
+    if consecutive and len(t.offsets) >= 2 and len(idx):
+        # primes in [w0, w0 + i], so a pattern's inner primes are a difference
+        counts = np.cumsum(prime, dtype=np.int64)
+        n = idx + (a - w0)
+        inner = counts[n + t.offsets[-1] - 1] - counts[n + t.offsets[0]]
+        idx = idx[inner == len(t.offsets) - 2]
+    return (idx + a).tolist()
 
 
 @dataclass(frozen=True)
@@ -187,6 +195,8 @@ def additive_witness(b, n0: int, search_hi: int) -> AdditiveWitness | None:
     else:
         pattern, case = select_triple(b[1], b[2])
     pos = n0 + b[-1]
+    # witnesses usually lie within a few thousand of n0, and a chunk costs a
+    # pass over the base primes, so start short and grow to one segment
     chunk = 1 << 14
     while pos <= search_hi:
         top = min(pos + chunk - 1, search_hi)
@@ -205,5 +215,5 @@ def additive_witness(b, n0: int, search_hi: int) -> AdditiveWitness | None:
                 raise AssertionError(f"witness {n} for {b} failed revalidation")
             return witness
         pos = top + 1
-        chunk *= 2
+        chunk = min(2 * chunk, SEGMENT_BITS)
     return None

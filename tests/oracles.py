@@ -17,13 +17,54 @@ def naive_is_prime(n):
     return True
 
 
-def naive_sieve(limit):
+def prime_flags(limit):
+    """bytearray whose byte n is 1 exactly when n is prime, for n <= limit."""
     flags = bytearray([1]) * (limit + 1)
-    flags[0:2] = b"\x00\x00"
+    flags[0:2] = b"\x00\x00"[: limit + 1]
     for p in range(2, isqrt(limit) + 1):
         if flags[p]:
             flags[p * p:: p] = bytes(len(flags[p * p:: p]))
+    return flags
+
+
+def naive_sieve(limit):
+    flags = prime_flags(limit)
     return [n for n in range(limit + 1) if flags[n]]
+
+
+def composite_cover_reports(limits):
+    """The fields of the composite-cover report at each limit, straight from
+    the definitions: A = {n >= 1 : none of n, n+1, n+3, n+5 is prime}, and
+    A + {0, 1, 3, 5} is compared with the composites on [9, limit]."""
+    top = max(limits)
+    prime = prime_flags(top + 5)
+    in_a = bytearray(top + 1)
+    wanted = set(limits)
+    reports = {}
+    base = covered = composite = 0
+    first = None
+    for x in range(1, top + 1):
+        if not (prime[x] or prime[x + 1] or prime[x + 3] or prime[x + 5]):
+            in_a[x] = 1
+            base += 1
+        if x >= 9:
+            is_covered = any(in_a[x - off] for off in (0, 1, 3, 5))
+            is_composite = not prime[x]
+            covered += is_covered
+            composite += is_composite
+            if first is None and is_covered != is_composite:
+                first = x
+        if x in wanted:
+            reports[x] = {
+                "limit": x,
+                "passed": first is None,
+                "first_mismatch": first,
+                "base_count": base,
+                "covered_count": covered,
+                "composite_count": composite,
+                "offsets": [0, 1, 3, 5],
+            }
+    return reports
 
 
 def naive_factorize(n):
@@ -114,3 +155,20 @@ def sunit_triples(gamma_elements, height):
                             lam *= e
                 classes.add((x1 // lam, x2 // lam, x3 // lam))
     return classes
+
+
+def naive_constellation(offsets, lo, hi, is_prime, composite_center=False, consecutive=False):
+    """n in [max(lo, 0), hi] with every n + u prime, tested one integer at a
+    time with the given primality predicate."""
+    hits = []
+    for n in range(max(lo, 0), hi + 1):
+        if not all(n + u >= 2 and is_prime(n + u) for u in offsets):
+            continue
+        if composite_center and (n < 2 or is_prime(n)):
+            continue
+        if consecutive and len(offsets) >= 2:
+            inner = [q for q in range(n + offsets[0] + 1, n + offsets[-1]) if is_prime(q)]
+            if len(inner) != len(offsets) - 2:
+                continue
+        hits.append(n)
+    return hits

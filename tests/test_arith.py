@@ -4,8 +4,10 @@ import random
 import numpy as np
 import pytest
 
+from decomplab import arith
 from decomplab import (
     PrimeSieve,
+    ResourceLimitError,
     SmoothnessPolicy,
     factorize,
     greatest_prime_factor,
@@ -13,9 +15,11 @@ from decomplab import (
     is_prime,
     shifted_smooth_set,
     sieve,
+    sieve_window,
     smooth_set,
 )
-from oracles import naive_factorize, naive_is_prime, naive_sieve
+from decomplab.arith import SEGMENT_BITS
+from oracles import naive_factorize, naive_is_prime, naive_sieve, prime_flags
 
 
 def test_is_prime_edge_cases():
@@ -90,6 +94,64 @@ def test_sieve_contract_violations():
         sieve(10**9, max_bytes=1000)
 
 
+def test_resource_limits_refuse_before_allocating():
+    with pytest.raises(ResourceLimitError, match="budget"):
+        sieve(20_000_000_000)
+    with pytest.raises(ResourceLimitError, match="base primes"):
+        sieve_window(1 << 60, (1 << 60) + 10)
+    assert issubclass(ResourceLimitError, MemoryError)
+
+
+def _naive_bits(limit):
+    flags = np.frombuffer(bytes(prime_flags(limit)), dtype=np.uint8)
+    return np.packbits(flags, bitorder="little").tobytes()
+
+
+def test_sieve_bits_match_naive_packing():
+    # every last-byte fill, and the edges of the odd-number segments
+    span = 2 * SEGMENT_BITS
+    for limit in [*range(1, 80), span - 9, span - 1, span, span + 1, span + 8, 2 * span + 3]:
+        assert sieve(limit).bits == _naive_bits(limit), limit
+
+
+def test_sieve_window_matches_is_prime_across_segment_edges():
+    top = 6 * SEGMENT_BITS + 3
+    window = sieve_window(0, top)
+    assert np.array_equal(window, np.frombuffer(bytes(prime_flags(top)), dtype=bool))
+    for k in range(1, 7):
+        for n in range(k * SEGMENT_BITS - 3, k * SEGMENT_BITS + 4):
+            assert window[n] == is_prime(n), n
+    # windows starting just below, at and past each edge
+    for k in (1, 2, 3):
+        for lo in (k * SEGMENT_BITS - 3, k * SEGMENT_BITS, k * SEGMENT_BITS + 3):
+            got = sieve_window(lo, lo + 2 * SEGMENT_BITS + 5)
+            assert np.array_equal(got, window[lo: lo + 2 * SEGMENT_BITS + 6]), lo
+
+
+def test_sieve_window_low_starts():
+    for lo in (0, 1, 2):
+        for hi in range(lo - 1, 60):
+            got = sieve_window(lo, hi).tolist()
+            assert got == [naive_is_prime(n) for n in range(lo, hi + 1)], (lo, hi)
+    with pytest.raises(ValueError):
+        sieve_window(-1, 10)
+
+
+def test_sieve_window_near_one_billion():
+    lo = 10**9 - 1000
+    got = sieve_window(lo, lo + 3000)
+    assert got.tolist() == [is_prime(n) for n in range(lo, lo + 3001)]
+
+
+def test_sieve_window_small_segments(monkeypatch):
+    # many segment edges inside short windows
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
+    flags = prime_flags(3000)
+    for lo, hi in ((0, 3000), (1, 47), (2, 16), (17, 33), (1000, 2999)):
+        assert sieve_window(lo, hi).tolist() == [bool(f) for f in flags[lo: hi + 1]]
+    assert sieve(3000).bits == _naive_bits(3000)
+
+
 def test_sieve_cache_roundtrip(tmp_path):
     ps = sieve(12345)
     path = tmp_path / "p.psv"
@@ -113,6 +175,24 @@ def test_sieve_cache_validation(tmp_path):
     truncated.write_bytes(truncated.read_bytes()[:-3])
     with pytest.raises(ValueError):
         PrimeSieve.load(truncated)
+
+
+def test_sieve_cache_rejects_stray_padding_bits(tmp_path):
+    # limit 20 fills bits 0-4 of byte 2; bit 5 stands for 21, past the limit
+    path = tmp_path / "stray.psv"
+    sieve(20).save(path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] |= 1 << 5
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="padding"):
+        PrimeSieve.load(path)
+
+
+def test_largest_prime():
+    assert sieve(1).largest_prime() is None
+    assert sieve(2).largest_prime() == 2
+    for limit in (23, 24, 8191, 8192, 1024, 1031, 10**5):
+        assert sieve(limit).largest_prime() == max(naive_sieve(limit)), limit
 
 
 def test_greatest_prime_factor():

@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from decomplab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_USAGE, run
+from decomplab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
+from decomplab.sets import MASK_BUDGET
 
 
 def run_json(capsys, argv):
@@ -88,6 +89,45 @@ def test_sieve_cache(tmp_path, capsys):
     assert cache.exists()
     code, report = run_json(capsys, ["sieve", "--limit", "1000", "--cache", str(cache)])
     assert report["result"]["cache_used"] is True
+
+
+def test_sieve_largest_prime(tmp_path, capsys):
+    # 8191 is prime and the last bit of its byte; 1024 and 8192 open a byte
+    want = {1: None, 2: 2, 23: 23, 1024: 1021, 1031: 1031, 8191: 8191, 8192: 8191}
+    for limit, largest in want.items():
+        cache = tmp_path / f"s{limit}.psv"
+        for cache_used in (False, True):
+            argv = ["sieve", "--limit", str(limit), "--cache", str(cache)]
+            code, report = run_json(capsys, argv)
+            assert code == EXIT_OK
+            assert report["result"]["cache_used"] is cache_used
+            assert report["result"]["largest_prime"] == largest, limit
+
+
+def test_sieve_cache_with_stray_bits_is_rejected(tmp_path, capsys):
+    cache = tmp_path / "s.psv"
+    run_json(capsys, ["sieve", "--limit", "20", "--cache", str(cache)])
+    raw = bytearray(cache.read_bytes())
+    raw[-1] |= 1 << 5  # integer 21
+    cache.write_bytes(bytes(raw))
+    assert run(["sieve", "--limit", "20", "--cache", str(cache)]) == EXIT_USAGE
+    assert "padding" in capsys.readouterr().err
+
+
+def test_resource_limits_exit_3(tmp_path, capsys):
+    assert run(["sieve", "--limit", "20000000000"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "budget" in captured.err
+    assert captured.out == ""
+    target = tmp_path / "wide.txt"
+    target.write_text(f"# window 1 {MASK_BUDGET}\n2\n4\n")
+    argv = ["decompose", "--kind", "multiplicative", "--target-file", str(target),
+            "--max-b-size", "2", "--max-b-elem", "4"]
+    assert run(argv) == EXIT_RESOURCE
+    assert "dense mask" in capsys.readouterr().err
+    argv = ["decompose", "--kind", "additive", "--composites", "--window", f"9,{MASK_BUDGET}",
+            "--max-b-size", "2", "--max-b-elem", "4"]
+    assert run(argv) == EXIT_RESOURCE
 
 
 def test_smooth_writes_text_format(tmp_path, capsys):

@@ -13,7 +13,13 @@ from decomplab import (
     verify_composite_decomposition,
     windowed_equal,
 )
-from oracles import additive_accepted_parts, additive_parts_by_subset_search
+from decomplab import arith
+from decomplab.arith import SEGMENT_BITS
+from oracles import (
+    additive_accepted_parts,
+    additive_parts_by_subset_search,
+    composite_cover_reports,
+)
 
 
 def iset(values, lo=None, hi=None):
@@ -189,6 +195,23 @@ def test_verify_composite_decomposition():
         assert report.covered_count == report.composite_count
     with pytest.raises(ValueError):
         verify_composite_decomposition(19)
+
+
+def test_verify_composite_decomposition_matches_oracle():
+    small = range(20, 201)
+    edge = range(SEGMENT_BITS - 6, SEGMENT_BITS + 7)
+    want = composite_cover_reports([*small, *edge])
+    for limit in [*small, *edge]:
+        assert verify_composite_decomposition(limit).to_json_dict() == want[limit], limit
+
+
+def test_verify_composite_decomposition_small_segments(monkeypatch):
+    # segments of 16 and 32 integers put many halo edges inside [9, 200]
+    want = composite_cover_reports(range(20, 201))
+    for bits in (8, 16):
+        monkeypatch.setattr(arith, "SEGMENT_BITS", bits)
+        for limit in range(20, 201):
+            assert verify_composite_decomposition(limit).to_json_dict() == want[limit], limit
 
 
 def test_base_set_membership_spot_check():

@@ -10,7 +10,8 @@ from decomplab import (
     satisfies_covering,
     select_triple,
 )
-from oracles import naive_is_prime
+from decomplab import arith, tuples
+from oracles import naive_constellation, naive_is_prime
 
 
 def offs(*values):
@@ -113,6 +114,36 @@ def test_consecutive_filter_is_a_subset():
             if naive_is_prime(q) and q not in {n + u for u in t.offsets}
         ]
         assert foreign, n
+
+
+def test_find_constellation_far_windows_match_naive_scan():
+    cases = (
+        ((-2, 2), True, False),
+        ((-6, -2, 0), False, True),
+        ((-4, 2), True, True),
+        ((0, 2, 6), False, True),
+    )
+    for lo in (10**9, 2 * arith.SEGMENT_BITS - 700):
+        for offsets, center, consecutive in cases:
+            got = find_constellation(offs(*offsets), lo, lo + 1500, require_composite_center=center,
+                                     require_consecutive=consecutive)
+            want = naive_constellation(offsets, lo, lo + 1500, is_prime, center, consecutive)
+            assert got == want, (lo, offsets)
+
+
+def test_find_constellation_across_segment_edges(monkeypatch):
+    # 32-integer segments: windows of a few hundred cross many chunk edges
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 16)
+    monkeypatch.setattr(tuples, "SEGMENT_BITS", 16)
+    for lo, hi in ((0, 400), (10**9 - 200, 10**9 + 200)):
+        for offsets in ((-2, 2), (-30, -28), (-12, -6, -2), (0, 4, 6), (-40, 2)):
+            for center in (False, True):
+                for consecutive in (False, True):
+                    got = find_constellation(offs(*offsets), lo, hi,
+                                             require_composite_center=center,
+                                             require_consecutive=consecutive)
+                    want = naive_constellation(offsets, lo, hi, is_prime, center, consecutive)
+                    assert got == want, (lo, offsets, center, consecutive)
 
 
 def test_find_constellation_rejects_inadmissible():

@@ -33,7 +33,6 @@ from .semigroup import (
     SUnitEquation,
     enumerate_semigroup,
     h_family,
-    h_family_star,
     l_set,
     mprimitivity_scan,
     solve_sunit,

@@ -67,13 +67,10 @@ class PrimeSieve:
     def count(self) -> int:
         return int.from_bytes(self.bits, "little").bit_count()
 
-    def mask(self, upto: int | None = None) -> np.ndarray:
-        """Boolean primality array over [0, upto] (default the full range)."""
-        hi = self.limit if upto is None else upto
-        if not 0 <= hi <= self.limit:
-            raise ValueError(f"mask range [0, {hi}] is outside the sieve")
+    def mask(self) -> np.ndarray:
+        """Boolean primality array over [0, limit]."""
         arr = np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), bitorder="little")
-        return arr[: hi + 1].astype(bool)
+        return arr[: self.limit + 1].astype(bool)
 
     def primes(self) -> np.ndarray:
         return np.flatnonzero(self.mask())

@@ -61,59 +61,14 @@ def h_family(g: GammaSemigroup, k: int, limit: int, cumulative: bool = False) ->
     elements, truncated to [1, limit].
 
     Repeated 1s are allowed (gcd(1,1) = 1); any element > 1 can appear at
-    most once.  Enumeration walks elements in decreasing order, pruning on
-    the running sum; the accumulated product of chosen elements serves as
-    the coprimality radical.
+    most once.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    elems = sorted(
-        (v for v in enumerate_semigroup(g, limit).elements if v > 1), reverse=True
-    )
-    found: set[int] = set()
-
-    def record(total, used):
-        if cumulative:
-            lo_pad = 1 if used == 0 else 0
-            for pad in range(lo_pad, k - used + 1):
-                if total + pad <= limit:
-                    found.add(total + pad)
-        else:
-            val = total + (k - used)
-            if val <= limit:
-                found.add(val)
-
-    def walk(start, used, total, rad):
-        record(total, used)
-        if used == k:
-            return
-        min_fill = 0 if cumulative else (k - used - 1)
-        for i in range(start, len(elems)):
-            e = elems[i]
-            if total + e + min_fill > limit:
-                continue
-            if math.gcd(e, rad) != 1:
-                continue
-            walk(i + 1, used + 1, total + e, rad * e)
-
-    walk(0, 0, 0, 1)
-    return IntegerSet(tuple(sorted(found)), 1, limit)
-
-
-def h_family_star(g: GammaSemigroup, k: int, limit: int, cumulative: bool = False) -> IntegerSet:
-    """Sum families without the coprimality restriction (k-fold sumsets)."""
-    if k < 1 or limit < 1:
-        raise ValueError("need k >= 1 and limit >= 1")
-    base = enumerate_semigroup(g, limit).elements
-    current = set(base)
-    collected = set(base)
-    for _ in range(k - 1):
-        current = {x + y for x in base for y in current if x + y <= limit}
-        collected |= current
-    values = collected if cumulative else current
-    return IntegerSet(tuple(sorted(values)), 1, limit)
+    sums = (sum(b) for b in _coprime_blocks(g, k, limit) if cumulative or len(b) == k)
+    return IntegerSet(tuple(sorted({s for s in sums if s <= limit})), 1, limit)
 
 
 @dataclass(frozen=True)
@@ -202,19 +157,19 @@ class SolutionClass:
     degenerate: bool
 
 
-def _has_vanishing_subsum(coeffs, xs) -> bool:
-    m = len(xs)
-    if m < 3:
-        return False
-    terms = [c * x for c, x in zip(coeffs, xs)]
-    for mask in range(1, (1 << m) - 1):
-        total = Fraction(0)
-        for i in range(m):
-            if mask >> i & 1:
-                total += terms[i]
-        if total == 0:
-            return True
-    return False
+def _has_vanishing_subsum(pos, neg) -> bool:
+    """Given sum(pos) = sum(neg) with every term positive, does a proper,
+    nonempty subset of the terms of sum(pos) - sum(neg) vanish?  Such a
+    subset takes equal subsums from the two sides.  The sides always share
+    two subsums, 0 (both empty) and the full sum (both full), and every
+    other shared subsum comes from a proper subset."""
+    def subset_sums(vals):
+        sums = {0}
+        for v in vals:
+            sums |= {s + v for s in sums}
+        return sums
+
+    return len(subset_sums(pos) & subset_sums(neg)) > 2
 
 
 def solve_sunit(eq: SUnitEquation, height: int) -> list[SolutionClass]:
@@ -240,13 +195,21 @@ def solve_sunit(eq: SUnitEquation, height: int) -> list[SolutionClass]:
         lam = strip_gamma_part(math.gcd(*xs), eq.gamma)[1]
         rep = tuple(x // lam for x in xs)
         if rep not in classes:
-            classes[rep] = SolutionClass(rep, _has_vanishing_subsum(coeffs, xs))
+            terms = [c * x for c, x in zip(coeffs, xs)]
+            degenerate = _has_vanishing_subsum(
+                [t for t in terms if t > 0], [-t for t in terms if t < 0]
+            )
+            classes[rep] = SolutionClass(rep, degenerate)
     return [classes[r] for r in sorted(classes)]
 
 
 def _coprime_blocks(g: GammaSemigroup, k: int, height: int) -> list[tuple[int, ...]]:
     """Tuples of 1..k pairwise coprime semigroup elements <= height, sorted
-    ascending inside each block; 1 may repeat."""
+    ascending inside each block; 1 may repeat.
+
+    Elements are tried in decreasing order, so each new one goes in front;
+    the product of the chosen elements serves as the coprimality radical.
+    """
     elems = sorted(
         (v for v in enumerate_semigroup(g, height).elements if v > 1), reverse=True
     )
@@ -255,33 +218,17 @@ def _coprime_blocks(g: GammaSemigroup, k: int, height: int) -> list[tuple[int, .
     def walk(start, chosen, rad):
         used = len(chosen)
         for pad in range(0 if used else 1, k - used + 1):
-            blocks.append((1,) * pad + tuple(sorted(chosen)))
+            blocks.append((1,) * pad + chosen)
         if used == k:
             return
         for i in range(start, len(elems)):
             e = elems[i]
             if math.gcd(e, rad) != 1:
                 continue
-            walk(i + 1, chosen + [e], rad * e)
+            walk(i + 1, (e,) + chosen, rad * e)
 
-    walk(0, [], 1)
+    walk(0, (), 1)
     return blocks
-
-
-def _ratio_degenerate(eps, xs, eta, ys) -> bool:
-    """Does eps*(subsum of xs) = eta*(subsum of ys) for a proper, nonempty
-    pair of subsets?  All terms are positive, so a vanishing subsum of the
-    combined equation must take one side from each block."""
-    def subset_sums(scale, vals):
-        sums = {0}
-        for v in vals:
-            sums |= {s + scale * v for s in sums}
-        return sums
-
-    sx = subset_sums(eps, xs)
-    sy = subset_sums(eta, ys)
-    full = eps * sum(xs)
-    return bool((sx & sy) - {0, full})
 
 
 def l_set(g: GammaSemigroup, k: int, height: int, eps_height: int) -> IntegerSet:
@@ -312,7 +259,7 @@ def l_set(g: GammaSemigroup, k: int, height: int, eps_height: int) -> IntegerSet
                 for ys in by_sum.get(target // eta, ()):
                     if len(xs) + len(ys) < 3:
                         continue
-                    if _ratio_degenerate(eps, xs, eta, ys):
+                    if _has_vanishing_subsum([eps * x for x in xs], [eta * y for y in ys]):
                         continue
                     coords.update(xs)
                     coords.update(ys)

@@ -181,9 +181,10 @@ class AdditiveWitness:
 def additive_witness(b, n0: int, search_hi: int) -> AdditiveWitness | None:
     """Search [n0 + max(b), search_hi] for a witness against the base set b.
 
-    b must be {0, b2} or {0, b2, b3}.  For pairs the pattern is {-b2, b2};
-    for triples it comes from select_triple.  Returns None when nothing is
-    found below the bound, which is inconclusive, never a refutation.
+    b must be {0, b2} or {0, b2, b3}, and the range must not be empty.  For
+    pairs the pattern is {-b2, b2}; for triples it comes from select_triple.
+    Returns None when nothing is found below the bound, which is
+    inconclusive, never a refutation.
     """
     b = tuple(sorted({int(v) for v in b}))
     if len(b) not in (2, 3) or b[0] != 0:
@@ -195,6 +196,8 @@ def additive_witness(b, n0: int, search_hi: int) -> AdditiveWitness | None:
     else:
         pattern, case = select_triple(b[1], b[2])
     pos = n0 + b[-1]
+    if pos > search_hi:
+        raise ValueError(f"empty search range [{pos}, {search_hi}]: raise the search bound")
     # witnesses usually lie within a few thousand of n0, and a chunk costs a
     # pass over the base primes, so start short and grow to one segment
     chunk = 1 << 14

@@ -4,8 +4,11 @@ Everything here is deliberately naive pure Python, independent of the
 library's vectorized code paths.
 """
 
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from math import gcd, isqrt
+
+from decomplab import IntegerSet, enumerate_semigroup
 
 
 def naive_is_prime(n):
@@ -155,6 +158,43 @@ def sunit_triples(gamma_elements, height):
                             lam *= e
                 classes.add((x1 // lam, x2 // lam, x3 // lam))
     return classes
+
+
+def coprime_sums(elements, k, limit, cumulative=False):
+    """Sums <= limit of exactly k (or 1..k when cumulative) pairwise coprime
+    values from elements, by trying every multiset."""
+    sums = set()
+    for size in range(1, k + 1) if cumulative else (k,):
+        for combo in combinations_with_replacement(elements, size):
+            if sum(combo) <= limit and all(gcd(x, y) == 1 for x, y in combinations(combo, 2)):
+                sums.add(sum(combo))
+    return sums
+
+
+def h_family_star(g, k, limit, cumulative=False):
+    """Sum families without the coprimality restriction (k-fold sumsets)."""
+    base = enumerate_semigroup(g, limit).elements
+    current = set(base)
+    collected = set(base)
+    for _ in range(k - 1):
+        current = {x + y for x in base for y in current if x + y <= limit}
+        collected |= current
+    values = collected if cumulative else current
+    return IntegerSet(tuple(sorted(values)), 1, limit)
+
+
+def vanishing_subsum(terms):
+    """Does some proper, nonempty subset of the terms sum to 0?  Tries every
+    subset in exact rational arithmetic."""
+    m = len(terms)
+    for mask in range(1, (1 << m) - 1):
+        total = Fraction(0)
+        for i in range(m):
+            if mask >> i & 1:
+                total += terms[i]
+        if total == 0:
+            return True
+    return False
 
 
 def naive_constellation(offsets, lo, hi, is_prime, composite_center=False, consecutive=False):

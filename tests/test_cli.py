@@ -195,6 +195,14 @@ def test_witness_add_inconclusive(capsys):
     assert report["result"]["found"] is False and report["witnesses"] == []
 
 
+def test_witness_add_empty_range_is_usage_error(capsys):
+    # the default --limit (10**7) lies below n0 + max(b)
+    assert run(["witness", "add", "--b", "0,2", "--n0", "1000000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "empty search range" in captured.err
+    assert captured.out == ""
+
+
 def test_witness_mul(capsys):
     code, report = run_json(
         capsys, ["witness", "mul", "--b", "1,2", "--n0", "1", "--t-hi", "1000"]

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -10,7 +11,6 @@ from decomplab import (
     SUnitEquation,
     enumerate_semigroup,
     h_family,
-    h_family_star,
     l_set,
     mprimitivity_scan,
     productset,
@@ -21,7 +21,8 @@ from decomplab import (
     verify_exceptional_factorization,
     windowed_equal,
 )
-from oracles import sunit_triples
+from decomplab.semigroup import _has_vanishing_subsum
+from oracles import coprime_sums, h_family_star, sunit_triples, vanishing_subsum
 
 G2 = GammaSemigroup.of([2])
 G3 = GammaSemigroup.of([3])
@@ -62,21 +63,18 @@ def test_h_family_examples():
 
 
 def test_h_family_brute_force():
-    from itertools import combinations_with_replacement
-
-    elems = enumerate_semigroup(G23, 60).elements
-    for k in (2, 3):
-        want = set()
-        for combo in combinations_with_replacement(elems, k):
-            if sum(combo) > 60:
-                continue
-            if all(
-                math.gcd(combo[i], combo[j]) == 1
-                for i in range(k)
-                for j in range(i + 1, k)
-            ):
-                want.add(sum(combo))
-        assert set(h_family(G23, k, 60).elements) == want, k
+    # each limit is a block sum, then one less, so the top sum is kept once
+    # and dropped once
+    for gens in ((2,), (2, 3), (2, 3, 5), (4, 9, 25), (6, 35)):
+        g = GammaSemigroup.of(gens)
+        elems = enumerate_semigroup(g, 80).elements
+        for k in (1, 2, 3, 4):
+            for cumulative in (False, True):
+                top = max(coprime_sums(elems, k, 80, cumulative))
+                for limit in (top, top - 1):
+                    want = coprime_sums(elems, k, limit, cumulative)
+                    got = set(h_family(g, k, limit, cumulative).elements)
+                    assert got == want, (gens, k, cumulative, limit)
 
 
 def test_h_family_monotone():
@@ -203,6 +201,37 @@ def test_sunit_degenerate_flag():
     assert all(flags.values())
 
 
+def test_vanishing_subsum_matches_subset_loop():
+    rng = random.Random(11)
+    for _ in range(3000):
+        m = rng.randint(2, 6)
+        if rng.random() < 0.5:
+            terms = [rng.choice([-1, 1]) * rng.randint(1, 12) for _ in range(m - 1)]
+        else:
+            terms = [Fraction(rng.randint(-12, 12) or 1, rng.randint(1, 4)) for _ in range(m - 1)]
+        if sum(terms) == 0:
+            continue
+        terms.append(-sum(terms))
+        pos = [t for t in terms if t > 0]
+        neg = [-t for t in terms if t < 0]
+        assert _has_vanishing_subsum(pos, neg) == vanishing_subsum(terms), terms
+    # the split l_set makes: eps*(x1+...+xl) = eta*(y1+...+yh)
+    elems = enumerate_semigroup(G23, 36).elements
+    scales = enumerate_semigroup(G23, 6).elements
+    by_sum = {}
+    for size in (1, 2, 3):
+        for blk in combinations_with_replacement(elems, size):
+            by_sum.setdefault(sum(blk), []).append(blk)
+    blocks = [blk for group in by_sum.values() for blk in group]
+    for _ in range(3000):
+        eps, eta, xs = rng.choice(scales), rng.choice(scales), rng.choice(blocks)
+        if eps * sum(xs) % eta or eps * sum(xs) // eta not in by_sum:
+            continue
+        ys = rng.choice(by_sum[eps * sum(xs) // eta])
+        pos, neg = [eps * x for x in xs], [eta * y for y in ys]
+        assert _has_vanishing_subsum(pos, neg) == vanishing_subsum(pos + [-v for v in neg])
+
+
 def test_sunit_rational_coeffs():
     classes = solve_sunit(SUnitEquation.of([Fraction(1, 2), -1], G2), 32)
     # x1/2 = x2: representatives reduce by the common power of two
@@ -237,8 +266,6 @@ def test_l_set_contains_pair_sum_coordinates():
 
 
 def test_l_set_matches_brute_force():
-    from itertools import combinations_with_replacement
-
     g = G2
     height, eps_height, k = 16, 4, 2
     elems = enumerate_semigroup(g, height).elements

@@ -87,10 +87,23 @@ def test_operand_swap_and_identities():
         assert productset(ap, bp).elements == productset(bp, ap).elements
 
 
+def test_large_sumset_and_productset_match_python_sets():
+    rng = random.Random(5)
+    b = iset(rng.sample(range(1, 1 << 40), 600))
+    c = iset(rng.sample(range(1, 1 << 20), 500))
+    assert len(b) * len(c) >= 1 << 18
+    want = sorted({x + y for x in b for y in c})
+    got = sumset(b, c).elements
+    assert list(got) == want and all(type(v) is int for v in got)
+    want = sorted({x * y for x in b for y in c})
+    assert list(productset(b, c).elements) == want
+
+
 def test_overflow_errors():
     # 2**63 itself is the cap: reachable, but nothing beyond
     exact = sumset(iset([1 << 62]), iset([1 << 62]))
     assert exact.elements == (1 << 63,)
+    assert productset(iset([1 << 31]), iset([1 << 32])).elements == (1 << 63,)
     with pytest.raises(OverflowError):
         sumset(iset([(1 << 62) + 1]), iset([1 << 62]))
     with pytest.raises(OverflowError):

@@ -183,6 +183,12 @@ def test_additive_witness_validation_contract():
         additive_witness((1, 3), 9, 100)
     with pytest.raises(ValueError):
         additive_witness((0, 1), 8, 100)
+    # the scan starts at n0 + max(b); a bound below it leaves nothing to search
+    with pytest.raises(ValueError, match="empty search range"):
+        additive_witness((0, 2), 9, 10)
+    with pytest.raises(ValueError, match="empty search range"):
+        additive_witness((0, 2), 10**9, 10**7)
+    assert additive_witness((0, 2), 9, 11) is None
 
 
 def test_witness_json_shape():

@@ -110,16 +110,6 @@ class PrimeSieve:
         return cls(limit=limit, bits=bits)
 
 
-def _dense_prime_mask(n: int) -> np.ndarray:
-    mask = np.zeros(n + 1, dtype=bool)
-    if n >= 2:
-        mask[2:] = True
-        for p in range(2, math.isqrt(n) + 1):
-            if mask[p]:
-                mask[p * p:: p] = False
-    return mask
-
-
 def _odd_segments(lo: int, hi: int):
     """Segmented sieve of Eratosthenes over the odd numbers of [lo, hi].
 
@@ -132,7 +122,7 @@ def _odd_segments(lo: int, hi: int):
         raise ResourceLimitError(
             f"sieving up to {hi} needs base primes above the {_BASE_PRIME_LIMIT} limit"
         )
-    base = np.flatnonzero(_dense_prime_mask(root))[1:]
+    base = np.flatnonzero(sieve_window(3, root)) + 3  # ends at root < 3, an empty window
     squares = base * base
     primes = base.tolist()
     for s in range(lo | 1, hi + 1, 2 * SEGMENT_BITS):
@@ -192,7 +182,7 @@ def sieve(limit: int, max_bytes: int = _DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
     return PrimeSieve(limit=limit, bits=bits[:nbytes].tobytes())
 
 
-_TRIAL_PRIMES = tuple(int(p) for p in np.flatnonzero(_dense_prime_mask(1 << 10)))
+_TRIAL_PRIMES = tuple(p for p in range(2, 1 << 10) if is_prime(p))
 
 
 def _brent_rho(n: int) -> int:
@@ -311,7 +301,14 @@ class SmoothnessPolicy:
         g = greatest_prime_factor(n)
         if self.kind == "fixed":
             return g <= self.bound
-        return g <= max(self.factor * math.log(n), 2.0)
+        return bool(g <= self.log_threshold(float(n)))
+
+    def log_threshold(self, n):
+        """max(factor * ln n, 2) for a float n or float array n.  is_smooth and
+        the bulk mask both take it from here, with numpy's log, because
+        math.log may differ from it in the last bit."""
+        with np.errstate(divide="ignore"):  # ln 0 = -inf falls to the floor of 2
+            return np.maximum(self.factor * np.log(n), 2.0)
 
 
 def _gpf_table(limit: int) -> np.ndarray:
@@ -334,10 +331,7 @@ def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
     if policy.kind == "fixed":
         keep = gpf <= policy.bound
     else:
-        vals = np.arange(limit + 1, dtype=np.float64)
-        with np.errstate(divide="ignore"):
-            threshold = np.maximum(policy.factor * np.log(vals), 2.0)
-        keep = gpf <= threshold
+        keep = gpf <= policy.log_threshold(np.arange(limit + 1, dtype=np.float64))
     keep[0] = False
     return keep
 
@@ -354,5 +348,5 @@ def shifted_smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
     """{m + 1 : m smooth, m + 1 <= limit}, window [1, limit]."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    base = smooth_set(policy, limit - 1)
-    return IntegerSet(tuple(v + 1 for v in base.elements), 1, limit)
+    values = np.flatnonzero(_smooth_mask(policy, limit - 1)) + 1
+    return IntegerSet(tuple(values.tolist()), 1, limit)

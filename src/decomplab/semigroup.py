@@ -259,6 +259,8 @@ def l_set(g: GammaSemigroup, k: int, height: int, eps_height: int) -> IntegerSet
                 for ys in by_sum.get(target // eta, ()):
                     if len(xs) + len(ys) < 3:
                         continue
+                    if coords.issuperset(xs) and coords.issuperset(ys):
+                        continue  # the degeneracy test could add no coordinate
                     if _has_vanishing_subsum([eps * x for x in xs], [eta * y for y in ys]):
                         continue
                     coords.update(xs)

@@ -189,11 +189,8 @@ class DecompositionCandidate:
         lo, hi = self.coverage_window
         if lo > hi:
             return True
-        bset = IntegerSet(self.b, self.b[0], self.b[-1])
-        if self.kind == "additive":
-            combined = sumset(bset, self.c)
-        else:
-            combined = productset(bset, self.c)
+        combine = sumset if self.kind == "additive" else productset
+        combined = combine(IntegerSet(self.b, self.b[0], self.b[-1]), self.c)
         equal, _ = windowed_equal(target, combined, lo, hi)
         return equal
 
@@ -232,75 +229,56 @@ def decompose_search(
     allowed = mask.copy()
     allowed[:lo] = True  # combinations below the window are unconstrained
 
-    accepted: list[DecompositionCandidate] = []
+    # The kind decides the parts b tried, the least c, shrunk(max b) =
+    # (lo (+|*) max b, hi (-|//) max b), whose top bounds c, and
+    # view(arr, beta, climit), whose element c is arr[beta (+|*) c].
     if kind == "additive":
-        for size in range(2, max_b_size + 1):
-            for rest in combinations(range(1, max_b_elem + 1), size - 1):
-                cand = _additive_candidate((0,) + rest, mask, allowed, lo, hi, full_window)
-                if cand is not None:
-                    accepted.append(cand)
+        head, pool, c_min = (0,), range(1, max_b_elem + 1), 0
+
+        def shrunk(maxb):
+            return lo + maxb, hi - maxb
+
+        def view(arr, beta, climit):
+            return arr[beta: beta + climit + 1]
     else:
         if target.elements[0] < 1 or lo < 1:
             raise ValueError("multiplicative search needs a positive target and window")
-        pool = [d for d in range(1, max_b_elem + 1) if mask[d::d].any()]
-        strided = {d: allowed[::d] for d in pool}
-        for size in range(2, max_b_size + 1):
-            for b in combinations(pool, size):
-                cand = _multiplicative_candidate(b, mask, strided, lo, hi, full_window)
-                if cand is not None:
-                    accepted.append(cand)
+        head, pool, c_min = (), [d for d in range(1, max_b_elem + 1) if mask[d::d].any()], 1
+
+        def shrunk(maxb):
+            return lo * maxb, hi // maxb
+
+        def view(arr, beta, climit):
+            return arr[::beta][: climit + 1]
+
+    accepted: list[DecompositionCandidate] = []
+    for size in range(2, max_b_size + 1):
+        for rest in combinations(pool, size - len(head)):
+            b = head + rest
+            edge, climit = shrunk(b[-1])
+            if climit < c_min:
+                continue
+            ok = view(allowed, b[0], climit).copy()
+            for beta in b[1:]:
+                ok &= view(allowed, beta, climit)
+            ok[:c_min] = False
+            if np.count_nonzero(ok) < 2:
+                continue
+            cover_lo, cover_hi = (lo, hi) if full_window else (edge, climit)
+            if cover_lo <= cover_hi:
+                covered = np.zeros(hi + 1, dtype=bool)
+                for beta in b:
+                    hit = view(covered, beta, climit)
+                    hit |= ok
+                seg = slice(cover_lo, cover_hi + 1)
+                if np.any(mask[seg] & ~covered[seg]):
+                    continue
+            cvals = tuple(np.flatnonzero(ok).tolist())
+            accepted.append(DecompositionCandidate(
+                kind, b, IntegerSet(cvals, c_min, climit), (cover_lo, cover_hi)
+            ))
     accepted.sort(key=lambda cand: cand.b)
     return accepted
-
-
-def _additive_candidate(b, mask, allowed, lo, hi, full_window):
-    maxb = b[-1]
-    climit = hi - maxb
-    if climit < 0:
-        return None
-    ok = allowed[: climit + 1].copy()
-    for beta in b[1:]:
-        ok &= allowed[beta: beta + climit + 1]
-    if int(ok.sum()) < 2:
-        return None
-    cover_lo, cover_hi = (lo, hi) if full_window else (lo + maxb, hi - maxb)
-    if cover_lo <= cover_hi:
-        covered = np.zeros(hi + 1, dtype=bool)
-        for beta in b:
-            covered[beta: beta + climit + 1] |= ok
-        seg = slice(cover_lo, cover_hi + 1)
-        if np.any(mask[seg] & ~covered[seg]):
-            return None
-    cvals = tuple(int(v) for v in np.flatnonzero(ok))
-    return DecompositionCandidate(
-        "additive", b, IntegerSet(cvals, 0, climit), (cover_lo, cover_hi)
-    )
-
-
-def _multiplicative_candidate(b, mask, strided, lo, hi, full_window):
-    maxb = b[-1]
-    climit = hi // maxb
-    if climit < 1:
-        return None
-    ok = strided[b[0]][: climit + 1].copy()
-    for beta in b[1:]:
-        ok &= strided[beta][: climit + 1]
-    ok[0] = False  # c >= 1
-    idx = np.flatnonzero(ok)
-    if len(idx) < 2:
-        return None
-    cover_lo, cover_hi = (lo, hi) if full_window else (lo * maxb, hi // maxb)
-    if cover_lo <= cover_hi:
-        covered = np.zeros(hi + 1, dtype=bool)
-        for beta in b:
-            covered[idx * beta] = True
-        seg = slice(cover_lo, cover_hi + 1)
-        if np.any(mask[seg] & ~covered[seg]):
-            return None
-    cvals = tuple(int(v) for v in idx)
-    return DecompositionCandidate(
-        "multiplicative", b, IntegerSet(cvals, 1, climit), (cover_lo, cover_hi)
-    )
 
 
 COVER_OFFSETS = (0, 1, 3, 5)

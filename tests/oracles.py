@@ -109,6 +109,29 @@ def additive_accepted_parts(target, lo, hi, max_b_size, max_b_elem, full_window)
     return sorted(accepted)
 
 
+def multiplicative_accepted_parts(target, lo, hi, max_b_size, max_b_elem, full_window):
+    """Accepted multiplicative small parts, straight from the definitions:
+    b is drawn from the divisors <= max_b_elem of target elements, and c
+    from [1, hi // max(b)]."""
+    tset = set(target)
+    pool = [d for d in range(1, max_b_elem + 1) if any(t % d == 0 for t in tset)]
+    accepted = []
+    for size in range(2, max_b_size + 1):
+        for b in combinations(pool, size):
+            maxb = b[-1]
+            cvals = [
+                c for c in range(1, hi // maxb + 1)
+                if all((c * beta in tset) or (c * beta < lo) for beta in b)
+            ]
+            if len(cvals) < 2:
+                continue
+            cover_lo, cover_hi = (lo, hi) if full_window else (lo * maxb, hi // maxb)
+            products = {c * beta for c in cvals for beta in b}
+            if all(t in products for t in tset if cover_lo <= t <= cover_hi):
+                accepted.append(b)
+    return sorted(accepted)
+
+
 def additive_parts_by_subset_search(target, lo, hi, max_b_size, max_b_elem):
     """Full-window acceptance by literally trying every complement subset.
 

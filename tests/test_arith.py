@@ -253,6 +253,22 @@ def test_smooth_set_log_matches_pointwise():
         assert (n in bulk) == policy.is_smooth(n), n
     # the max(..., 2) floor keeps 1 and 2 smooth at any positive factor
     assert 1 in bulk and 2 in bulk
+    # factor * ln n lands on p+(n) within one ulp; math.log and np.log give
+    # different last bits at these n (numpy 2.4.6 with AVX-512)
+    for n, factor in ((9170, 14.358221637031136), (19143, 71.90893709186054),
+                      (94869, 11.081780487050688)):
+        policy = SmoothnessPolicy.log_factor(factor)
+        assert policy.is_smooth(n) == (n in smooth_set(policy, n)), n
+    # the same boundary at every n <= 10**5 where the two logs differ here
+    logs = np.log(np.arange(1, 10**5 + 1, dtype=np.float64))
+    for n in range(2, 10**5 + 1):
+        if logs[n - 1] == math.log(n):
+            continue
+        g = greatest_prime_factor(n)
+        for f in (g / math.log(n), g / float(logs[n - 1])):
+            for factor in (np.nextafter(f, 0.0), f, np.nextafter(f, np.inf)):
+                policy = SmoothnessPolicy.log_factor(float(factor))
+                assert policy.is_smooth(n) == (n in smooth_set(policy, n)), (n, factor)
 
 
 def test_one_handling_across_policies():

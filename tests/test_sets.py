@@ -19,6 +19,7 @@ from oracles import (
     additive_accepted_parts,
     additive_parts_by_subset_search,
     composite_cover_reports,
+    multiplicative_accepted_parts,
 )
 
 
@@ -178,16 +179,42 @@ def test_decompose_validation():
 
 def test_decompose_matches_oracle_quick():
     rng = random.Random(99)
-    for _ in range(40):
-        density = rng.uniform(0.2, 0.9)
-        values = [v for v in range(0, 31) if rng.random() < density]
-        if not values:
-            values = [rng.randrange(31)]
-        target = IntegerSet(tuple(values), 0, 30)
+    for lo, rounds in ((0, 40), (1, 15), (2, 15), (5, 15), (10, 15)):
+        for _ in range(rounds):
+            density = rng.uniform(0.2, 0.9)
+            values = [v for v in range(lo, 31) if rng.random() < density]
+            if not values:
+                values = [rng.randrange(lo, 31)]
+            target = IntegerSet(tuple(values), lo, 30)
+            for full in (False, True):
+                got = [c.b for c in decompose_search(target, "additive", 3, 10, full_window=full)]
+                want = additive_accepted_parts(values, lo, 30, 3, 10, full)
+                assert got == want, (values, lo, full)
+
+
+def test_decompose_multiplicative_matches_oracle():
+    rng = random.Random(17)
+    accepted = [0, 0]
+    for _ in range(80):
+        lo = rng.choice((1, 2, 5, 10))
+        hi = rng.randrange(lo + 10, 80)
+        if rng.random() < 0.5:
+            density = rng.uniform(0.3, 0.95)
+            values = [v for v in range(lo, hi + 1) if rng.random() < density] or [hi]
+        else:  # a product set B * C, so that the full window accepts too
+            b = rng.sample(range(1, 9), rng.randrange(2, 4))
+            c = rng.sample(range(1, hi // max(b) + 1), min(hi // max(b), rng.randrange(2, 12)))
+            values = sorted({x * y for x in b for y in c if x * y >= lo}) or [hi]
+        target = IntegerSet(tuple(values), lo, hi)
         for full in (False, True):
-            got = [c.b for c in decompose_search(target, "additive", 3, 10, full_window=full)]
-            want = additive_accepted_parts(values, 0, 30, 3, 10, full)
-            assert got == want, (values, full)
+            found = decompose_search(target, "multiplicative", 3, 8, full_window=full)
+            want = multiplicative_accepted_parts(values, lo, hi, 3, 8, full)
+            assert [c.b for c in found] == want, (values, lo, hi, full)
+            # (verify needs the product window to reach hi, which the full
+            # window does not give when max(b) does not divide hi)
+            assert full or all(c.verify(target) for c in found)
+            accepted[full] += len(found)
+    assert all(accepted)  # both modes accept some parts
 
 
 def test_decompose_matches_exhaustive_complement_search():

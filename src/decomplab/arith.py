@@ -110,50 +110,73 @@ class PrimeSieve:
         return cls(limit=limit, bits=bits)
 
 
-def _odd_segments(lo: int, hi: int):
-    """Segmented sieve of Eratosthenes over the odd numbers of [lo, hi].
-
-    Yields (s, flags) with s odd and flags[i] telling whether s + 2i is
-    prime, at most SEGMENT_BITS flags at a time, crossing off with the odd
-    base primes up to isqrt(hi).  The prime 2 is left to the caller.
-    """
+def _odd_sieve(hi: int):
+    """Sieve the odd base primes up to isqrt(hi) once, and return strike(s, e):
+    whether each odd number s, s + 2, ... <= e (s odd) is prime, crossed off
+    with the base primes p, p * p <= e.  The prime 2 is left to the caller."""
     root = math.isqrt(hi)
     if root > _BASE_PRIME_LIMIT:
-        raise ResourceLimitError(
-            f"sieving up to {hi} needs base primes above the {_BASE_PRIME_LIMIT} limit"
-        )
+        raise ResourceLimitError(f"sieving up to {hi} needs base primes above the "
+                                 f"{_BASE_PRIME_LIMIT} limit")
     base = np.flatnonzero(sieve_window(3, root)) + 3  # ends at root < 3, an empty window
-    squares = base * base
-    primes = base.tolist()
-    for s in range(lo | 1, hi + 1, 2 * SEGMENT_BITS):
-        n = (min(s + 2 * SEGMENT_BITS - 1, hi) - s) // 2 + 1
-        flags = np.ones(n, dtype=bool)
+    squares, primes = base * base, base.tolist()
+
+    def strike(s: int, e: int) -> np.ndarray:
+        n = (e - s) // 2 + 1
+        k = int(np.searchsorted(squares, e, side="right"))
         # the first odd multiple of p at or above max(p*p, s)
-        first = np.maximum(squares, (s + base - 1) // base * base)
-        first += base * (first % 2 == 0)
+        first = np.maximum(squares[:k], (s + base[:k] - 1) // base[:k] * base[:k])
+        first += base[:k] * (first % 2 == 0)
+        flags = np.ones(n, dtype=bool)
         for p, i in zip(primes, ((first - s) // 2).tolist()):
             if i < n:
                 flags[i::p] = False
         if s == 1:
-            flags[0] = False
-        yield s, flags
+            flags[:1] = False
+        return flags
+
+    return strike
+
+
+def prime_windows(lo: int, hi: int, overlap: int = 0):
+    """Primality over [lo, hi] in windows: yields (start, prime), prime[i]
+    telling whether start + i is prime.  Each window repeats the last
+    `overlap` integers of the one before, so any overlap + 1 consecutive
+    integers lie in one window.  Its new integers start at 2**14, as lazy
+    scans often stop in the first window, and double up to one segment
+    (2 * SEGMENT_BITS), but are at least min(overlap, SEGMENT_BITS); a window
+    spans at most max(2 * SEGMENT_BITS, SEGMENT_BITS + overlap) integers."""
+    if lo < 0:
+        raise ValueError(f"a prime scan needs lo >= 0, got {lo}")
+    seg = 2 * SEGMENT_BITS  # integers per segment
+    least, most = min(overlap, seg // 2), max(seg - overlap, seg // 2)
+    fresh, start, end, reach = 1 << 14, lo, lo + overlap - 1, -1
+    while start <= hi:
+        fresh = min(max(fresh, least), most)
+        end = min(end + fresh, hi)
+        if end > reach:
+            # base primes up to sqrt(4 * end): sieved again once end quadruples,
+            # and refused only by a window that needs primes above the limit
+            reach = min(4 * end, hi, max(end, _BASE_PRIME_LIMIT ** 2))
+            strike = _odd_sieve(reach)
+        prime = np.zeros(end - start + 1, dtype=bool)
+        for a in range(start | 1, end + 1, seg):  # one segment of flags at a time
+            prime[a - start: a - start + seg: 2] = strike(a, min(a + seg - 1, end))
+        if start <= 2 <= end:
+            prime[2 - start] = True
+        yield start, prime
+        del prime  # the caller's alone now: not held while the next is sieved
+        start = end - overlap + 1 if end < hi else hi + 1
+        fresh *= 2
 
 
 def sieve_window(lo: int, hi: int) -> np.ndarray:
-    """Primality over [lo, hi]: element i tells whether lo + i is prime.
-
-    Costs the window plus one segment of memory, however high lo is; the
-    result is empty when lo > hi.
-    """
-    if lo < 0:
-        raise ValueError(f"sieve_window needs lo >= 0, got {lo}")
+    """Primality over [lo, hi]: element i tells whether lo + i is prime; the
+    result is empty when lo > hi."""
     out = np.zeros(max(hi - lo + 1, 0), dtype=bool)
-    if lo > hi:
-        return out
-    for s, flags in _odd_segments(lo, hi):
-        out[s - lo: s - lo + 2 * len(flags): 2] = flags
-    if lo <= 2 <= hi:
-        out[2 - lo] = True
+    for s, prime in prime_windows(lo, hi):
+        out[s - lo: s - lo + len(prime)] = prime
+        del prime  # free before the next window is sieved
     return out
 
 
@@ -171,10 +194,11 @@ def sieve(limit: int, max_bytes: int = _DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
                       dtype="<u2")
     spread = nibble[np.arange(256) & 15] | nibble[np.arange(256) >> 4] << 8
     bits = np.zeros(nbytes + 1, dtype=np.uint8)  # the last segment may spill one byte
-    for s, flags in _odd_segments(0, limit):
+    strike = _odd_sieve(limit)
+    for s in range(1, limit + 1, 2 * SEGMENT_BITS):
         # s - 1 is a multiple of 16; each byte of 8 odd flags spreads to the
         # odd bit positions of the 2 bytes for 16 integers
-        packed = np.packbits(flags, bitorder="little")
+        packed = np.packbits(strike(s, min(s + 2 * SEGMENT_BITS - 1, limit)), bitorder="little")
         j = s >> 3
         np.take(spread, packed, out=bits[j: j + 2 * len(packed)].view("<u2"))
     if limit >= 2:

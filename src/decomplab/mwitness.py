@@ -198,7 +198,7 @@ def multiplicative_witness(b, n0: int, t_hi: int) -> MultiplicativeWitness | Non
     Without 1 in b the smallest multiple of prod(b) at or above n0 works
     unconditionally.  With 1 in b, scan t in (n0, t_hi] for a prime value of
     the plan's progression; Dirichlet guarantees one exists, t_hi is only a
-    resource cap, so None means inconclusive.
+    resource cap, so None means inconclusive.  That range must not be empty.
     """
     b = tuple(sorted({int(v) for v in b}))
     if len(b) < 2 or b[0] < 1:
@@ -226,6 +226,8 @@ def multiplicative_witness(b, n0: int, t_hi: int) -> MultiplicativeWitness | Non
             raise AssertionError(f"nonunit witness {n} for {b} failed revalidation")
         return witness
 
+    if t_hi <= n0:
+        raise ValueError(f"empty search range ({n0}, {t_hi}] for t: raise t_hi")
     plan = build_plan(b)
     for t in range(n0 + 1, t_hi + 1):
         value = plan.progression(t)

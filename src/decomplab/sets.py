@@ -4,8 +4,9 @@ exhaustive windowed decomposition searcher."""
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import asdict, dataclass
+from functools import partial
+from itertools import combinations, starmap
 
 import numpy as np
 
@@ -191,7 +192,8 @@ class DecompositionCandidate:
             return True
         combine = sumset if self.kind == "additive" else productset
         combined = combine(IntegerSet(self.b, self.b[0], self.b[-1]), self.c)
-        equal, _ = windowed_equal(target, combined, lo, hi)
+        # B (+|*) C as it stands: a product's window may end short of hi
+        equal, _ = windowed_equal(target, IntegerSet(combined.slice(lo, hi), lo, hi), lo, hi)
         return equal
 
 
@@ -294,15 +296,7 @@ class CompositeCoverReport:
     composite_count: int
 
     def to_json_dict(self):
-        return {
-            "limit": self.limit,
-            "passed": self.passed,
-            "first_mismatch": self.first_mismatch,
-            "base_count": self.base_count,
-            "covered_count": self.covered_count,
-            "composite_count": self.composite_count,
-            "offsets": list(COVER_OFFSETS),
-        }
+        return {**asdict(self), "offsets": list(COVER_OFFSETS)}
 
 
 def verify_composite_decomposition(limit: int) -> CompositeCoverReport:
@@ -316,42 +310,38 @@ def verify_composite_decomposition(limit: int) -> CompositeCoverReport:
     """
     if limit < 20:
         raise ValueError("limit must be at least 20")
-    from .arith import SEGMENT_BITS, sieve_window
+    from .arith import SEGMENT_BITS, prime_windows
 
     halo = COVER_OFFSETS[-1]
-    step = 2 * SEGMENT_BITS - 2 * halo  # a window with both halos fills one segment
-    first = None
-    base_count = covered_count = composite_count = 0
-    for lo in range(0, limit + 1, step):
-        hi = min(lo + step - 1, limit)
-        w0 = max(lo - halo, 0)
-        nonprime = ~sieve_window(w0, hi + halo)  # element i is w0 + i
-        size = hi - w0 + 1
-        # A over [w0, hi]: the halo below lo feeds the cover of [lo, lo + 5)
-        base = nonprime[0:size].copy()
-        for off in COVER_OFFSETS[1:]:
-            base &= nonprime[off: off + size]
-        if w0 == 0:
-            base[0] = False
-        k = lo - w0
-        covered = np.zeros(hi - lo + 1, dtype=bool)
-        for off in COVER_OFFSETS:
-            skip = max(off - k, 0)  # no base element below w0
-            covered[skip:] |= base[k - off + skip: size - off]
-        composite = nonprime[k: k + hi - lo + 1]
-        c0 = max(9 - lo, 0)  # the cover is claimed on [9, limit]
-        base_count += int(np.count_nonzero(base[k:]))
-        covered_count += int(np.count_nonzero(covered[c0:]))
-        composite_count += int(np.count_nonzero(composite[c0:]))
-        if first is None:
-            mismatches = np.flatnonzero(covered[c0:] ^ composite[c0:])
-            if len(mismatches):
-                first = lo + c0 + int(mismatches[0])
-    return CompositeCoverReport(
-        limit=limit,
-        passed=first is None,
-        first_mismatch=first,
-        base_count=base_count,
-        covered_count=covered_count,
-        composite_count=composite_count,
-    )
+    # A and its cover for every window, in two rows as long as the longest A
+    span = min(limit + 1, max(2 * SEGMENT_BITS, SEGMENT_BITS + 2 * halo))
+    scratch = np.empty((2, span), dtype=bool)
+    windows = prime_windows(0, limit + halo, 2 * halo)
+    totals, first = np.zeros(3, dtype=np.int64), None
+    for counts, mismatch in starmap(partial(_cover_window, scratch), windows):
+        totals += counts
+        first = mismatch if first is None else first
+    return CompositeCoverReport(limit, first is None, first, *totals.tolist())
+
+
+def _cover_window(scratch: np.ndarray, s: int, prime: np.ndarray):
+    """One window [s, e] of the cover walk, inverted in place: A on [s, e - 5]
+    covers [s + 5, e - 5].  Returns the counts there of A (from 1 in the first
+    window), the cover and the composites (from 9), and the first mismatch."""
+    halo = COVER_OFFSETS[-1]
+    nonprime = np.logical_not(prime, out=prime)
+    size = len(nonprime) - halo
+    c0 = max(9 - s, halo)  # the cover is claimed on [9, limit]
+    base, covered = scratch[0, :size], scratch[1, :max(size - c0, 0)]
+    base[:] = nonprime[:size]
+    for off in COVER_OFFSETS[1:]:
+        base &= nonprime[off: off + size]
+    covered[:] = False
+    for off in COVER_OFFSETS:
+        covered |= base[c0 - off: size - off]
+    composite = nonprime[c0:size]
+    counts = (np.count_nonzero(base[halo if s else 1:]), np.count_nonzero(covered),
+              np.count_nonzero(composite))
+    covered ^= composite  # now the mismatches
+    mismatches = np.flatnonzero(covered)
+    return counts, (s + c0 + int(mismatches[0]) if len(mismatches) else None)

@@ -4,10 +4,12 @@ non-coverage witnesses for small part sizes."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from itertools import starmap
 
 import numpy as np
 
-from .arith import SEGMENT_BITS, is_composite, is_prime, sieve_window
+from .arith import is_composite, is_prime, prime_windows
 
 
 @dataclass(frozen=True)
@@ -104,41 +106,35 @@ def find_constellation(
     """
     if not is_admissible(t):
         raise ValueError("offsets must form an admissible pattern")
+    return [n for hits in _constellation_scan(t, lo, hi, require_composite_center,
+                                              require_consecutive) for n in hits]
+
+
+def _constellation_scan(t, lo, hi, composite_center, consecutive):
+    """find_constellation's hits, one list per window of a lazy prime scan."""
     lo = max(lo, 0)
-    # the window around [a, b] runs from a + u_lo to b + u_hi; 0 is in the
-    # span for the composite test
+    # 0 is in the span for the composite test
     u_lo, u_hi = min(t.offsets[0], 0), max(t.offsets[-1], 0)
-    halo = u_hi - u_lo
-    step = max(2 * SEGMENT_BITS - halo, SEGMENT_BITS)
-    hits = []
-    for a in range(lo, hi + 1, step):
-        b = min(a + step - 1, hi)
-        hits += _constellation_chunk(t, a, b, u_lo, u_hi, require_composite_center,
-                                     require_consecutive)
-    return hits
+    window_hits = partial(_constellation_window, t, lo, hi, u_lo, u_hi, composite_center,
+                          consecutive)
+    return starmap(window_hits, prime_windows(max(lo + u_lo, 0), hi + u_hi, u_hi - u_lo))
 
 
-def _constellation_chunk(t, a, b, u_lo, u_hi, composite_center, consecutive):
-    w0 = max(a + u_lo, 0)
-    prime = sieve_window(w0, b + u_hi)  # element i is w0 + i
-    count = b - a + 1
+def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, s, prime):
+    # the n in [lo, hi] whose span lies in the window [s, s + len(prime) - 1]
+    a = max(lo, s - u_lo)
+    count = max(min(hi, s + len(prime) - 1 - u_hi) - a + 1, 0)
     ok = np.ones(count, dtype=bool)
     for u in t.offsets:
-        start = a + u - w0
-        if start >= 0:
-            ok &= prime[start: start + count]
-        else:  # n + u < 0 for the first -start values of n
-            shift = min(-start, count)
-            ok[:shift] = False
-            ok[shift:] &= prime[: count - shift]
+        ok &= prime[a + u - s: a + u - s + count]
     if composite_center:
-        ok &= ~prime[a - w0: a - w0 + count]
+        ok &= ~prime[a - s: a - s + count]
         ok[: max(2 - a, 0)] = False
     idx = np.flatnonzero(ok)
     if consecutive and len(t.offsets) >= 2 and len(idx):
-        # primes in [w0, w0 + i], so a pattern's inner primes are a difference
+        # primes in [s, s + i], so a pattern's inner primes are a difference
         counts = np.cumsum(prime, dtype=np.int64)
-        n = idx + (a - w0)
+        n = idx + (a - s)
         inner = counts[n + t.offsets[-1] - 1] - counts[n + t.offsets[0]]
         idx = idx[inner == len(t.offsets) - 2]
     return (idx + a).tolist()
@@ -198,25 +194,13 @@ def additive_witness(b, n0: int, search_hi: int) -> AdditiveWitness | None:
     pos = n0 + b[-1]
     if pos > search_hi:
         raise ValueError(f"empty search range [{pos}, {search_hi}]: raise the search bound")
-    # witnesses usually lie within a few thousand of n0, and a chunk costs a
-    # pass over the base primes, so start short and grow to one segment
-    chunk = 1 << 14
-    while pos <= search_hi:
-        top = min(pos + chunk - 1, search_hi)
-        hits = find_constellation(pattern, pos, top, require_composite_center=True)
-        if hits:
-            n = hits[0]
-            witness = AdditiveWitness(
-                b=b,
-                pattern=pattern,
-                case=case,
-                n=n,
-                prime_values=tuple(n + u for u in pattern.offsets),
-                n0=n0,
-            )
-            if not witness.validate():
-                raise AssertionError(f"witness {n} for {b} failed revalidation")
-            return witness
-        pos = top + 1
-        chunk = min(2 * chunk, SEGMENT_BITS)
-    return None
+    # witnesses usually lie within a few thousand of n0, in the scan's first window
+    scan = _constellation_scan(pattern, pos, search_hi, True, False)
+    n = next((hits[0] for hits in scan if hits), None)
+    if n is None:
+        return None
+    witness = AdditiveWitness(b=b, pattern=pattern, case=case, n=n,
+                              prime_values=tuple(n + u for u in pattern.offsets), n0=n0)
+    if not witness.validate():
+        raise AssertionError(f"witness {n} for {b} failed revalidation")
+    return witness

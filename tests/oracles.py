@@ -35,23 +35,23 @@ def naive_sieve(limit):
     return [n for n in range(limit + 1) if flags[n]]
 
 
-def composite_cover_reports(limits):
+def composite_cover_reports(limits, offsets=(0, 1, 3, 5)):
     """The fields of the composite-cover report at each limit, straight from
-    the definitions: A = {n >= 1 : none of n, n+1, n+3, n+5 is prime}, and
-    A + {0, 1, 3, 5} is compared with the composites on [9, limit]."""
+    the definitions: A = {n >= 1 : none of n + u (u in offsets) is prime},
+    and A + offsets is compared with the composites on [9, limit]."""
     top = max(limits)
-    prime = prime_flags(top + 5)
+    prime = prime_flags(top + offsets[-1])
     in_a = bytearray(top + 1)
     wanted = set(limits)
     reports = {}
     base = covered = composite = 0
     first = None
     for x in range(1, top + 1):
-        if not (prime[x] or prime[x + 1] or prime[x + 3] or prime[x + 5]):
+        if not any(prime[x + off] for off in offsets):
             in_a[x] = 1
             base += 1
         if x >= 9:
-            is_covered = any(in_a[x - off] for off in (0, 1, 3, 5))
+            is_covered = any(in_a[x - off] for off in offsets if x - off >= 0)
             is_composite = not prime[x]
             covered += is_covered
             composite += is_composite
@@ -65,7 +65,7 @@ def composite_cover_reports(limits):
                 "base_count": base,
                 "covered_count": covered,
                 "composite_count": composite,
-                "offsets": [0, 1, 3, 5],
+                "offsets": list(offsets),
             }
     return reports
 

@@ -107,10 +107,16 @@ def _naive_bits(limit):
     return np.packbits(flags, bitorder="little").tobytes()
 
 
+# the ends of the prime scan's first windows from 0: 2**14 new integers,
+# doubling up to one segment
+SCAN_EDGES = [2**14 * (2**k - 1) + d for k in range(1, 9) for d in (-3, 3)]
+
+
 def test_sieve_bits_match_naive_packing():
     # every last-byte fill, and the edges of the odd-number segments
     span = 2 * SEGMENT_BITS
-    for limit in [*range(1, 80), span - 9, span - 1, span, span + 1, span + 8, 2 * span + 3]:
+    for limit in [*range(1, 80), span - 9, span - 1, span, span + 1, span + 8, 2 * span + 3,
+                  *SCAN_EDGES]:
         assert sieve(limit).bits == _naive_bits(limit), limit
 
 
@@ -120,6 +126,9 @@ def test_sieve_window_matches_is_prime_across_segment_edges():
     assert np.array_equal(window, np.frombuffer(bytes(prime_flags(top)), dtype=bool))
     for k in range(1, 7):
         for n in range(k * SEGMENT_BITS - 3, k * SEGMENT_BITS + 4):
+            assert window[n] == is_prime(n), n
+    for edge in SCAN_EDGES:
+        for n in range(edge - 3, edge + 4):
             assert window[n] == is_prime(n), n
     # windows starting just below, at and past each edge
     for k in (1, 2, 3):
@@ -150,6 +159,62 @@ def test_sieve_window_small_segments(monkeypatch):
     for lo, hi in ((0, 3000), (1, 47), (2, 16), (17, 33), (1000, 2999)):
         assert sieve_window(lo, hi).tolist() == [bool(f) for f in flags[lo: hi + 1]]
     assert sieve(3000).bits == _naive_bits(3000)
+
+
+def _check_prime_windows(lo, hi, overlap, want):
+    """prime_windows(lo, hi, overlap) gives want (primality over [lo, hi])
+    once the repeated integers are dropped, repeats the last `overlap`
+    integers of each window, so any overlap + 1 consecutive integers lie in
+    one window, and keeps each window's size in its bounds."""
+    bits = arith.SEGMENT_BITS
+    end, fresh = lo - 1, []
+    for s, prime in arith.prime_windows(lo, hi, overlap):
+        assert s == max(end - overlap + 1, lo), (lo, hi, overlap, s, end)
+        new = s + len(prime) - 1 - end
+        assert len(prime) <= max(2 * bits, bits + overlap)
+        assert new >= min(overlap, bits) or s + len(prime) - 1 == hi
+        fresh.append(prime[len(prime) - new:])
+        end += new
+    assert end == max(hi, lo - 1)
+    got = np.concatenate(fresh) if fresh else np.zeros(0, dtype=bool)
+    assert np.array_equal(got, want), (lo, hi, overlap)
+
+
+def test_prime_windows_small_segments(monkeypatch):
+    flags = np.frombuffer(bytes(prime_flags(3000)), dtype=bool)
+    for bits in (8, 16):
+        monkeypatch.setattr(arith, "SEGMENT_BITS", bits)
+        for lo in (0, 1, 2):
+            for hi in (lo - 1, lo, 40, 3000):
+                for overlap in (0, 1, 5, 10, 3 * bits):  # 3 * bits is past a segment
+                    _check_prime_windows(lo, hi, overlap, flags[lo: hi + 1])
+                assert np.array_equal(sieve_window(lo, hi), flags[lo: hi + 1])
+
+
+def test_prime_windows_real_segments():
+    top = 3 * 2 * SEGMENT_BITS + 100
+    flags = sieve(top).mask()
+    for lo in (0, 1, 2):
+        for overlap in (0, 10, 2 * SEGMENT_BITS + 7):
+            _check_prime_windows(lo, top, overlap, flags[lo:])
+    lo = 10**9
+    want = np.array([is_prime(n) for n in range(lo, lo + 3001)])
+    for overlap in (0, 10, 5000):
+        _check_prime_windows(lo, lo + 3000, overlap, want)
+    assert list(arith.prime_windows(10, 9)) == list(arith.prime_windows(10, 3, 5)) == []
+
+
+def test_prime_windows_refuse_only_the_window_past_the_base_prime_limit(monkeypatch):
+    # base primes up to 100: a window may end below 101**2, the next is refused
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
+    monkeypatch.setattr(arith, "_BASE_PRIME_LIMIT", 100)
+    flags = prime_flags(101**2 + 100)
+    ends = []
+    with pytest.raises(ResourceLimitError, match="base primes"):
+        for s, prime in arith.prime_windows(3000, 10**6):
+            assert prime.tolist() == [bool(f) for f in flags[s: s + len(prime)]]
+            ends.append(s + len(prime) - 1)
+    assert ends[-1] < 101**2 <= ends[-1] + 2 * arith.SEGMENT_BITS
 
 
 def test_sieve_cache_roundtrip(tmp_path):

@@ -130,6 +130,21 @@ def test_resource_limits_exit_3(tmp_path, capsys):
     assert run(argv) == EXIT_RESOURCE
 
 
+def test_scans_above_2_48_exit_3(capsys):
+    # the base primes of a window ending past (2**24 + 1)**2 pass 2**24
+    high = 2**49
+    for argv in (["tuple", "find", "--offsets=-2,2", "--window", f"{high},{high + 100}"],
+                 ["witness", "add", "--b", "0,2", "--n0", str(high), "--limit", str(high + 10**6)]):
+        assert run(argv) == EXIT_RESOURCE, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "base primes" in captured.err
+        assert captured.out == ""
+    # a scan that stops far below 2**48 is not refused, however high its bound
+    code, report = run_json(capsys, ["witness", "add", "--b", "0,2", "--n0", "9",
+                                     "--limit", str(2**60)])
+    assert code == EXIT_OK and report["result"]["n"] == 15
+
+
 def test_smooth_writes_text_format(tmp_path, capsys):
     out = tmp_path / "smooth.txt"
     code, report = run_json(
@@ -198,6 +213,14 @@ def test_witness_add_inconclusive(capsys):
 def test_witness_add_empty_range_is_usage_error(capsys):
     # the default --limit (10**7) lies below n0 + max(b)
     assert run(["witness", "add", "--b", "0,2", "--n0", "1000000000"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "empty search range" in captured.err
+    assert captured.out == ""
+
+
+def test_witness_mul_empty_range_is_usage_error(capsys):
+    # the default --t-hi (10**6) lies below n0, so t has nowhere to run
+    assert run(["witness", "mul", "--b", "1,2", "--n0", "2000000"]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "empty search range" in captured.err
     assert captured.out == ""

@@ -167,6 +167,14 @@ def test_witness_validation_contract():
         multiplicative_witness((2, 3), 0, 10)
 
 
+def test_witness_refuses_an_empty_unit_range():
+    # with 1 in b, t runs over (n0, t_hi], which is empty here
+    for n0, t_hi in ((2 * 10**6, 10**6), (5, 5)):
+        with pytest.raises(ValueError, match="empty search range"):
+            multiplicative_witness((1, 2), n0, t_hi)
+    assert multiplicative_witness((4, 9), 5, 5).branch == "nonunit"  # no scan, no range
+
+
 def test_witness_json_shape():
     w = multiplicative_witness((1, 2), 1, 10**4)
     d = w.to_json_dict()

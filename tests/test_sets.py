@@ -13,7 +13,7 @@ from decomplab import (
     verify_composite_decomposition,
     windowed_equal,
 )
-from decomplab import arith
+from decomplab import arith, sets
 from decomplab.arith import SEGMENT_BITS
 from oracles import (
     additive_accepted_parts,
@@ -165,6 +165,16 @@ def test_decompose_multiplicative_small():
     assert all(c.verify(target) for c in found)
 
 
+def test_full_window_product_candidate_verifies_short_of_hi():
+    # max(b) = 2 does not divide hi = 11, so B * C's own window ends at 10;
+    # verify compares B * C with the target on [1, 11] all the same
+    target = IntegerSet((1, 2, 3, 4, 5, 6, 8, 10), 1, 11)
+    found = decompose_search(target, "multiplicative", 2, 2, full_window=True)
+    assert [c.b for c in found] == [(1, 2)]
+    assert found[0].coverage_window == (1, 11)
+    assert found[0].verify(target) is True
+
+
 def test_decompose_validation():
     target = iset([1, 2, 3])
     with pytest.raises(ValueError):
@@ -210,9 +220,7 @@ def test_decompose_multiplicative_matches_oracle():
             found = decompose_search(target, "multiplicative", 3, 8, full_window=full)
             want = multiplicative_accepted_parts(values, lo, hi, 3, 8, full)
             assert [c.b for c in found] == want, (values, lo, hi, full)
-            # (verify needs the product window to reach hi, which the full
-            # window does not give when max(b) does not divide hi)
-            assert full or all(c.verify(target) for c in found)
+            assert all(c.verify(target) for c in found)
             accepted[full] += len(found)
     assert all(accepted)  # both modes accept some parts
 
@@ -252,6 +260,19 @@ def test_verify_composite_decomposition_small_segments(monkeypatch):
         monkeypatch.setattr(arith, "SEGMENT_BITS", bits)
         for limit in range(20, 201):
             assert verify_composite_decomposition(limit).to_json_dict() == want[limit], limit
+
+
+def test_verify_composite_decomposition_reports_failing_covers(monkeypatch):
+    # with these offsets composites go uncovered in every window: the report
+    # keeps the first mismatch, and its counts run across the windows' edges
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
+    for offsets in ((0, 1, 3, 7), (0, 2, 4)):
+        monkeypatch.setattr(sets, "COVER_OFFSETS", offsets)
+        want = composite_cover_reports(range(20, 301), offsets)
+        for limit in range(20, 301):
+            report = verify_composite_decomposition(limit)
+            assert not report.passed
+            assert report.to_json_dict() == want[limit], (offsets, limit)
 
 
 def test_base_set_membership_spot_check():

@@ -134,7 +134,6 @@ def test_find_constellation_far_windows_match_naive_scan():
 def test_find_constellation_across_segment_edges(monkeypatch):
     # 32-integer segments: windows of a few hundred cross many chunk edges
     monkeypatch.setattr(arith, "SEGMENT_BITS", 16)
-    monkeypatch.setattr(tuples, "SEGMENT_BITS", 16)
     for lo, hi in ((0, 400), (10**9 - 200, 10**9 + 200)):
         for offsets in ((-2, 2), (-30, -28), (-12, -6, -2), (0, 4, 6), (-40, 2)):
             for center in (False, True):
@@ -144,6 +143,16 @@ def test_find_constellation_across_segment_edges(monkeypatch):
                                              require_consecutive=consecutive)
                     want = naive_constellation(offsets, lo, hi, is_prime, center, consecutive)
                     assert got == want, (lo, offsets, center, consecutive)
+
+
+def test_find_constellation_dense_hits_across_window_edges(monkeypatch):
+    # one or two offsets hit often, so window edges fall on hits: each
+    # candidate belongs to exactly one window
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
+    for offsets in ((0,), (-3,), (5,), (-2, 0), (0, 4)):
+        for center in (False, True):
+            got = find_constellation(offs(*offsets), 0, 1500, require_composite_center=center)
+            assert got == naive_constellation(offsets, 0, 1500, is_prime, center), offsets
 
 
 def test_find_constellation_rejects_inadmissible():
@@ -174,6 +183,17 @@ def test_additive_witness_respects_floor():
 
 def test_additive_witness_not_found_is_none():
     assert additive_witness((0, 1), 9, 10) is None
+
+
+def test_additive_witness_is_the_first_hit_past_the_first_windows(monkeypatch):
+    # 16-integer segments: each hit lies more than four windows past the start
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
+    for b, n0 in (((0, 4), 10**6), ((0, 6), 10**6), ((0, 4, 10), 1000), ((0, 3, 5), 10**6),
+                  ((0, 6, 12), 10**6)):
+        w = additive_witness(b, n0, n0 + 10**4)
+        pos = n0 + b[-1]
+        want = naive_constellation(w.pattern.offsets, pos, n0 + 10**4, is_prime, True)
+        assert w.n == want[0] and w.n - pos > 4 * 2 * arith.SEGMENT_BITS, (b, n0)
 
 
 def test_additive_witness_validation_contract():

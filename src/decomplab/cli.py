@@ -41,7 +41,6 @@ from .semigroup import (
 )
 from .sets import (
     IntegerSet,
-    ResourceLimitError,
     check_mask_budget,
     decompose_search,
     verify_composite_decomposition,
@@ -490,8 +489,8 @@ def run(argv) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:  # ResourceLimitError, or an allocation that failed
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     report = {
         "command": _command_name(args),

@@ -7,8 +7,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iter_product
+from operator import mul
 
-from .sets import DecompositionCandidate, IntegerSet, decompose_search, productset, windowed_equal
+from .sets import (SUNIT_BUDGET, DecompositionCandidate, IntegerSet, ResourceLimitError,
+                   decompose_search, productset, windowed_equal)
 
 
 @dataclass(frozen=True)
@@ -173,33 +175,34 @@ def _has_vanishing_subsum(pos, neg) -> bool:
 
 
 def solve_sunit(eq: SUnitEquation, height: int) -> list[SolutionClass]:
-    """Enumerate all solutions with every coordinate <= height, in exact
-    rational arithmetic, canonicalized and deduplicated by proportionality."""
+    """Enumerate all solutions with every coordinate <= height, canonicalized
+    and deduplicated by proportionality.  With the coefficients scaled to
+    integers by the lcm of their denominators, the sums are matched by halves:
+    each tail looks up the negation of its weighted sum among the hashed sums
+    of the first m // 2 coordinates, refused past max(SUNIT_BUDGET, E) heads."""
     if height < 1:
         raise ValueError("height must be >= 1")
     elems = enumerate_semigroup(eq.gamma, height).elements
-    members = set(elems)
-    coeffs = eq.coeffs
-    m = len(coeffs)
-    last = coeffs[-1]
+    h = len(eq.coeffs) // 2
+    if len(elems) ** h > max(SUNIT_BUDGET, len(elems)):
+        raise ResourceLimitError(f"{len(elems)}**{h} S-unit head tuples exceed SUNIT_BUDGET")
+    scale = math.lcm(*(c.denominator for c in eq.coeffs))
+    coeffs = [int(c * scale) for c in eq.coeffs]
+    heads: dict[int, list[tuple[int, ...]]] = {}
+    for head in iter_product(elems, repeat=h):
+        heads.setdefault(sum(map(mul, coeffs, head)), []).append(head)
     classes: dict[tuple[int, ...], SolutionClass] = {}
-    for head in iter_product(elems, repeat=m - 1):
-        partial = sum((c * x for c, x in zip(coeffs, head)), Fraction(0))
-        tail = -partial / last
-        if tail.denominator != 1:
-            continue
-        xm = tail.numerator
-        if xm < 1 or xm > height or xm not in members:
-            continue
-        xs = head + (xm,)
-        lam = strip_gamma_part(math.gcd(*xs), eq.gamma)[1]
-        rep = tuple(x // lam for x in xs)
-        if rep not in classes:
-            terms = [c * x for c, x in zip(coeffs, xs)]
-            degenerate = _has_vanishing_subsum(
-                [t for t in terms if t > 0], [-t for t in terms if t < 0]
-            )
-            classes[rep] = SolutionClass(rep, degenerate)
+    for tail in iter_product(elems, repeat=len(coeffs) - h):
+        for head in heads.get(-sum(map(mul, coeffs[h:], tail)), ()):
+            xs = head + tail
+            lam = strip_gamma_part(math.gcd(*xs), eq.gamma)[1]
+            rep = tuple(x // lam for x in xs)
+            if rep not in classes:
+                terms = [c * x for c, x in zip(coeffs, xs)]
+                degenerate = _has_vanishing_subsum(
+                    [t for t in terms if t > 0], [-t for t in terms if t < 0]
+                )
+                classes[rep] = SolutionClass(rep, degenerate)
     return [classes[r] for r in sorted(classes)]
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
+SUNIT_BUDGET = 1 << 22  # most head tuples semigroup.solve_sunit may hash
 
 
 class WindowError(ValueError):

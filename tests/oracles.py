@@ -6,9 +6,11 @@ library's vectorized code paths.
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from itertools import product as iter_product
 from math import gcd, isqrt
 
 from decomplab import IntegerSet, enumerate_semigroup
+from decomplab.semigroup import SolutionClass, _has_vanishing_subsum, strip_gamma_part
 
 
 def naive_is_prime(n):
@@ -181,6 +183,36 @@ def sunit_triples(gamma_elements, height):
                             lam *= e
                 classes.add((x1 // lam, x2 // lam, x3 // lam))
     return classes
+
+
+def sunit_classes(coeffs, gamma, height):
+    """The S-unit classes of sum(coeffs[i] * x_i) = 0 over the semigroup gamma
+    up to height: every head of m - 1 elements fixes the last coordinate in
+    exact rational arithmetic, E**(m - 1) steps for E elements."""
+    elems = enumerate_semigroup(gamma, height).elements
+    members = set(elems)
+    coeffs = tuple(Fraction(c) for c in coeffs)
+    m = len(coeffs)
+    last = coeffs[-1]
+    classes = {}
+    for head in iter_product(elems, repeat=m - 1):
+        partial = sum((c * x for c, x in zip(coeffs, head)), Fraction(0))
+        tail = -partial / last
+        if tail.denominator != 1:
+            continue
+        xm = tail.numerator
+        if xm < 1 or xm > height or xm not in members:
+            continue
+        xs = head + (xm,)
+        lam = strip_gamma_part(gcd(*xs), gamma)[1]
+        rep = tuple(x // lam for x in xs)
+        if rep not in classes:
+            terms = [c * x for c, x in zip(coeffs, xs)]
+            degenerate = _has_vanishing_subsum(
+                [t for t in terms if t > 0], [-t for t in terms if t < 0]
+            )
+            classes[rep] = SolutionClass(rep, degenerate)
+    return [classes[r] for r in sorted(classes)]
 
 
 def coprime_sums(elements, k, limit, cumulative=False):

@@ -130,6 +130,27 @@ def test_resource_limits_exit_3(tmp_path, capsys):
     assert run(argv) == EXIT_RESOURCE
 
 
+def test_sunit_past_the_head_budget_exits_3(capsys):
+    argv = ["sunit", "--coeffs=1,1,1,-1", "--gamma", "2,3,5,7", "--height", str(10**12)]
+    assert run(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "SUNIT_BUDGET" in captured.err
+    assert captured.out == ""
+    code, report = run_json(capsys, ["sunit", "--coeffs=1,-1", "--gamma", "2,3,5,7",
+                                     "--height", str(10**12)])
+    assert code == EXIT_OK and report["result"]["count"] == 1
+
+
+def test_allocation_failure_exits_3(monkeypatch, capsys):
+    def fail(limit):
+        raise MemoryError("Unable to allocate 1.12 GiB")
+
+    monkeypatch.setattr("decomplab.arith._gpf_table", fail)
+    assert run(["smooth", "--policy", "log", "--factor", "2", "--limit", "1000"]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.err == "error: Unable to allocate 1.12 GiB\n" and captured.out == ""
+
+
 def test_scans_above_2_48_exit_3(capsys):
     # the base primes of a window ending past (2**24 + 1)**2 pass 2**24
     high = 2**49

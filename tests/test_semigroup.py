@@ -8,6 +8,7 @@ import pytest
 from decomplab import (
     GammaSemigroup,
     IntegerSet,
+    ResourceLimitError,
     SUnitEquation,
     enumerate_semigroup,
     h_family,
@@ -21,8 +22,9 @@ from decomplab import (
     verify_exceptional_factorization,
     windowed_equal,
 )
-from decomplab.semigroup import _has_vanishing_subsum
-from oracles import coprime_sums, h_family_star, sunit_triples, vanishing_subsum
+from decomplab import semigroup
+from decomplab.semigroup import SolutionClass, _has_vanishing_subsum
+from oracles import coprime_sums, h_family_star, sunit_classes, sunit_triples, vanishing_subsum
 
 G2 = GammaSemigroup.of([2])
 G3 = GammaSemigroup.of([3])
@@ -236,6 +238,71 @@ def test_sunit_rational_coeffs():
     classes = solve_sunit(SUnitEquation.of([Fraction(1, 2), -1], G2), 32)
     # x1/2 = x2: representatives reduce by the common power of two
     assert [c.representative for c in classes] == [(2, 1)]
+
+
+def _sunit_case(rng, elems, m, variant):
+    """Coefficients for one randomized case: 0 small integers of either
+    sign; 1 rational, with the last one planted so that a random tuple of
+    elements solves the equation; 2 as 1 with a negative first coefficient;
+    3 all positive, so that nothing solves it."""
+    if variant == 0:
+        return [rng.choice([-3, -2, -1, 1, 2, 3]) for _ in range(m)]
+    if variant == 3:
+        return [Fraction(rng.randint(1, 5), rng.choice([1, 1, 2, 3])) for _ in range(m)]
+    while True:
+        coeffs = [Fraction(rng.choice([-4, -3, -2, -1, 1, 2, 3, 4]), rng.choice([1, 1, 2, 3]))
+                  for _ in range(m - 1)]
+        if variant == 2:
+            coeffs[0] = -abs(coeffs[0])
+        xs = [rng.choice(elems) for _ in range(m)]
+        partial = sum(c * x for c, x in zip(coeffs, xs))
+        if partial:
+            return coeffs + [-partial / xs[-1]]
+
+
+def test_sunit_matches_reference_loop():
+    rng = random.Random(20261018)
+    gammas = [GammaSemigroup.of(g) for g in ([2], [2, 3], [2, 3, 5], [4, 9], [6, 35])]
+    seen = {"solved": 0, "degenerate": 0, "empty": 0}
+    for g in gammas:
+        for m in range(2, 6):
+            for variant in range(4):
+                height = rng.randint(30, 3000)
+                while len(enumerate_semigroup(g, height)) ** (m - 1) > 1000:
+                    height //= 2
+                elems = enumerate_semigroup(g, height).elements
+                coeffs = _sunit_case(rng, elems, m, variant)
+                got = solve_sunit(SUnitEquation.of(coeffs, g), height)
+                assert got == sunit_classes(coeffs, g, height), (coeffs, g, height)
+                if variant == 3:
+                    assert got == []
+                seen["solved"] += bool(got)
+                seen["degenerate"] += any(c.degenerate for c in got)
+                seen["empty"] += not got
+    assert seen["solved"] >= 40 and seen["degenerate"] >= 5 and seen["empty"] >= 20, seen
+
+
+def test_sunit_refuses_past_the_head_budget(monkeypatch):
+    g = GammaSemigroup.of([2, 3, 5, 7])
+    assert len(enumerate_semigroup(g, 10**12)) == 14672
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("the head tuples were walked")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(semigroup, "iter_product", no_walk)
+        with pytest.raises(ResourceLimitError):
+            solve_sunit(SUnitEquation.of([1, 1, 1, -1], g), 10**12)
+    assert solve_sunit(SUnitEquation.of([1, -1], g), 10**12) == [SolutionClass((1, 1), False)]
+    # the budget is max(SUNIT_BUDGET, E) head tuples: E = 10 below 20 here
+    monkeypatch.setattr(semigroup, "SUNIT_BUDGET", 100)
+    assert solve_sunit(SUnitEquation.of([1, 1, 1, -1], G23), 20)
+    monkeypatch.setattr(semigroup, "SUNIT_BUDGET", 99)
+    with pytest.raises(ResourceLimitError):
+        solve_sunit(SUnitEquation.of([1, 1, 1, -1], G23), 20)
+    assert solve_sunit(SUnitEquation.of([1, 1, -1], G23), 20)
+    monkeypatch.setattr(semigroup, "SUNIT_BUDGET", 1)
+    assert solve_sunit(SUnitEquation.of([1, 1, -1], G23), 20)
 
 
 def test_sunit_class_count_stable_with_height():

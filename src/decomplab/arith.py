@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .sets import IntegerSet, ResourceLimitError
+from .sets import IntegerSet, ResourceLimitError, check_mask_budget
 
 MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
 _U64 = 1 << 64
@@ -295,8 +296,8 @@ class SmoothnessPolicy:
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "fixed" and (self.bound is None or self.bound < 1):
             raise ValueError("fixed policy needs bound >= 1")
-        if self.kind == "log" and (self.factor is None or self.factor <= 0):
-            raise ValueError("log policy needs factor > 0")
+        if self.kind == "log" and not 0 < (self.factor or 0) < math.inf:  # nan fails too
+            raise ValueError("log policy needs a finite factor > 0")
 
     @classmethod
     def composites(cls) -> "SmoothnessPolicy":
@@ -331,32 +332,41 @@ class SmoothnessPolicy:
         """max(factor * ln n, 2) for a float n or float array n.  is_smooth and
         the bulk mask both take it from here, with numpy's log, because
         math.log may differ from it in the last bit."""
-        with np.errstate(divide="ignore"):  # ln 0 = -inf falls to the floor of 2
+        # ln 0 = -inf falls to the floor of 2; a product past the floats is inf
+        with np.errstate(divide="ignore", over="ignore"):
             return np.maximum(self.factor * np.log(n), 2.0)
 
 
-def _gpf_table(limit: int) -> np.ndarray:
-    """table[n] = p+(n) for 2 <= n <= limit; table[1] = 1."""
-    table = np.zeros(limit + 1, dtype=np.int64)
-    if limit >= 1:
-        table[1] = 1
-    if limit >= 2:
-        for p in np.flatnonzero(sieve_window(0, limit)).tolist():
-            table[p:: p] = p
-    return table
+def _smooth_window(policy: SmoothnessPolicy, s: int, prime: np.ndarray,
+                   base: list[int]) -> np.ndarray:
+    """keep[i]: whether s + i > 1 is smooth, given the window's primality and
+    the primes up to sqrt(end).  Dividing out the primes p <= min(max y,
+    sqrt(end)) and their powers leaves 1, p+(n) > sqrt(end), or a number above
+    max y, so n is smooth iff max(largest p divided out, rest) <= y(n)."""
+    if policy.kind == "composites":
+        return ~prime
+    e = s + len(prime) - 1
+    rem = np.arange(s, e + 1, dtype=np.int32)  # below 2**31 by the mask budget
+    y = policy.bound if policy.kind == "fixed" else policy.log_threshold(rem.astype(np.float64))
+    top = np.zeros_like(rem)  # the largest p divided out of each n
+    for p in base[: bisect_right(base, min(np.max(y), math.isqrt(e)))]:
+        top[-s % p:: p] = p
+        q = p
+        while q <= e:
+            rem[-s % q:: q] //= p
+            q *= p
+    return np.maximum(top, rem) <= y
 
 
 def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
-    if policy.kind == "composites":
-        composite = ~sieve_window(0, limit)
-        composite[:2] = False
-        return composite
-    gpf = _gpf_table(limit)
-    if policy.kind == "fixed":
-        keep = gpf <= policy.bound
-    else:
-        keep = gpf <= policy.log_threshold(np.arange(limit + 1, dtype=np.float64))
-    keep[0] = False
+    """Smoothness over [0, limit] by windows: the mask plus one window of memory."""
+    check_mask_budget(limit)
+    base = np.flatnonzero(sieve_window(0, math.isqrt(limit))).tolist()
+    keep = np.zeros(limit + 1, dtype=bool)
+    for s, prime in prime_windows(0, limit):
+        keep[s: s + len(prime)] = _smooth_window(policy, s, prime, base)
+        del prime  # free before the next window is sieved
+    keep[: 2 if policy.kind == "composites" else 1] = False  # 0, and 1 for composites
     return keep
 
 

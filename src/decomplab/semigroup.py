@@ -175,11 +175,13 @@ def _has_vanishing_subsum(pos, neg) -> bool:
 
 
 def solve_sunit(eq: SUnitEquation, height: int) -> list[SolutionClass]:
-    """Enumerate all solutions with every coordinate <= height, canonicalized
-    and deduplicated by proportionality.  With the coefficients scaled to
-    integers by the lcm of their denominators, the sums are matched by halves:
-    each tail looks up the negation of its weighted sum among the hashed sums
-    of the first m // 2 coordinates, refused past max(SUNIT_BUDGET, E) heads."""
+    """Enumerate all solutions with every coordinate <= height, one per
+    proportionality class: the member in which no generator divides every
+    coordinate, which the search meets as dividing never raises a coordinate.
+    With the coefficients scaled to integers by the lcm of their denominators,
+    the sums are matched by halves: each tail looks up the negation of its
+    weighted sum among the hashed sums of the first m // 2 coordinates,
+    refused past max(SUNIT_BUDGET, E) heads."""
     if height < 1:
         raise ValueError("height must be >= 1")
     elems = enumerate_semigroup(eq.gamma, height).elements
@@ -191,19 +193,19 @@ def solve_sunit(eq: SUnitEquation, height: int) -> list[SolutionClass]:
     heads: dict[int, list[tuple[int, ...]]] = {}
     for head in iter_product(elems, repeat=h):
         heads.setdefault(sum(map(mul, coeffs, head)), []).append(head)
-    classes: dict[tuple[int, ...], SolutionClass] = {}
+    classes = []
     for tail in iter_product(elems, repeat=len(coeffs) - h):
         for head in heads.get(-sum(map(mul, coeffs[h:], tail)), ()):
             xs = head + tail
-            lam = strip_gamma_part(math.gcd(*xs), eq.gamma)[1]
-            rep = tuple(x // lam for x in xs)
-            if rep not in classes:
-                terms = [c * x for c, x in zip(coeffs, xs)]
-                degenerate = _has_vanishing_subsum(
-                    [t for t in terms if t > 0], [-t for t in terms if t < 0]
-                )
-                classes[rep] = SolutionClass(rep, degenerate)
-    return [classes[r] for r in sorted(classes)]
+            g = math.gcd(*xs)
+            if any(g % gen == 0 for gen in eq.gamma.generators):
+                continue  # a multiple of the class's member xs / gen, also found
+            terms = [c * x for c, x in zip(coeffs, xs)]
+            degenerate = _has_vanishing_subsum(
+                [t for t in terms if t > 0], [-t for t in terms if t < 0]
+            )
+            classes.append(SolutionClass(xs, degenerate))
+    return sorted(classes, key=lambda c: c.representative)
 
 
 def _coprime_blocks(g: GammaSemigroup, k: int, height: int) -> list[tuple[int, ...]]:

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from decomplab import (
     smooth_set,
 )
 from decomplab.arith import SEGMENT_BITS
+from decomplab.sets import MASK_BUDGET
 from oracles import naive_factorize, naive_is_prime, naive_sieve, prime_flags
 
 
@@ -334,6 +336,59 @@ def test_smooth_set_log_matches_pointwise():
             for factor in (np.nextafter(f, 0.0), f, np.nextafter(f, np.inf)):
                 policy = SmoothnessPolicy.log_factor(float(factor))
                 assert policy.is_smooth(n) == (n in smooth_set(policy, n)), (n, factor)
+
+
+def test_log_policy_needs_a_finite_factor():
+    for factor in (math.nan, math.inf, -math.inf, -1.0, None):
+        with pytest.raises(ValueError, match="finite factor"):
+            SmoothnessPolicy.log_factor(factor)
+    # a finite factor whose threshold overflows to inf keeps every n
+    assert smooth_set(SmoothnessPolicy.log_factor(1e308), 50).elements == tuple(range(1, 51))
+
+
+SMOOTH_POLICIES = (
+    [SmoothnessPolicy.composites()]
+    + [SmoothnessPolicy.fixed_bound(b) for b in (1, 2, 97, 4000, 2**31 + 5)]
+    + [SmoothnessPolicy.log_factor(f) for f in (0.5, 3.5, 1e308)]
+)
+
+
+def test_smooth_sets_match_pointwise_across_window_edges(monkeypatch):
+    limit = 3000
+    for policy in SMOOTH_POLICIES:
+        want = tuple(n for n in range(1, limit + 1) if policy.is_smooth(n))
+        for bits in (8, 256):  # windows of 16 and 512 integers
+            monkeypatch.setattr(arith, "SEGMENT_BITS", bits)
+            assert smooth_set(policy, limit).elements == want, (policy, bits)
+            shifted = shifted_smooth_set(policy, limit + 1).elements
+            assert shifted == tuple(n + 1 for n in want), (policy, bits)
+
+
+def test_smooth_mask_memory_is_one_byte_per_integer(monkeypatch):
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 1 << 12)
+    limit = 10**6
+    for policy in (SmoothnessPolicy.composites(), SmoothnessPolicy.fixed_bound(140),
+                   SmoothnessPolicy.log_factor(2)):
+        tracemalloc.start()
+        try:
+            arith._smooth_mask(policy, limit)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * limit, (policy, peak / limit)
+
+
+def test_smooth_set_refused_at_the_mask_budget():
+    for policy in (SmoothnessPolicy.composites(), SmoothnessPolicy.fixed_bound(140),
+                   SmoothnessPolicy.log_factor(2)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match="dense mask"):
+                smooth_set(policy, MASK_BUDGET)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (policy, peak)
 
 
 def test_one_handling_across_policies():

@@ -142,10 +142,10 @@ def test_sunit_past_the_head_budget_exits_3(capsys):
 
 
 def test_allocation_failure_exits_3(monkeypatch, capsys):
-    def fail(limit):
+    def fail(*args):
         raise MemoryError("Unable to allocate 1.12 GiB")
 
-    monkeypatch.setattr("decomplab.arith._gpf_table", fail)
+    monkeypatch.setattr("decomplab.arith._smooth_window", fail)
     assert run(["smooth", "--policy", "log", "--factor", "2", "--limit", "1000"]) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.err == "error: Unable to allocate 1.12 GiB\n" and captured.out == ""
@@ -185,6 +185,27 @@ def test_smooth_policy_flag_requirements(capsys):
         capsys, ["smooth", "--policy", "fixed", "--bound", "2", "--limit", "10"]
     )
     assert code == EXIT_OK and report["result"]["elements"] == [1, 2, 4, 8]
+
+
+def test_smooth_log_factor_must_be_finite(capsys):
+    for factor in ("nan", "inf", "-inf"):
+        assert run(["smooth", "--policy", "log", f"--factor={factor}", "--limit", "20"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "finite factor" in captured.err
+        assert captured.out == ""
+    code = run(["smooth", "--policy", "log", "--factor=1e308", "--limit", "20", "--json"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and captured.err == ""
+    assert json.loads(captured.out)["result"]["elements"] == list(range(1, 21))
+
+
+def test_smooth_at_the_mask_budget_exits_3(capsys):
+    for policy in (["composites"], ["fixed", "--bound", "7"], ["log", "--factor", "2"]):
+        argv = ["smooth", "--policy", *policy, "--limit", str(MASK_BUDGET)]
+        assert run(argv) == EXIT_RESOURCE, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "dense mask" in captured.err
+        assert captured.out == ""
 
 
 def test_tuple_admissible_exit_codes(capsys):

@@ -7,8 +7,6 @@ import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
 from .sets import IntegerSet, ResourceLimitError, check_mask_budget
 
 MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
@@ -70,14 +68,17 @@ class PrimeSieve:
 
     def mask(self) -> np.ndarray:
         """Boolean primality array over [0, limit]."""
+        import numpy as np
         arr = np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), bitorder="little")
         return arr[: self.limit + 1].astype(bool)
 
     def primes(self) -> np.ndarray:
+        import numpy as np
         return np.flatnonzero(self.mask())
 
     def largest_prime(self) -> int | None:
         """The largest prime <= limit, read from the last nonzero byte."""
+        import numpy as np
         raw = np.frombuffer(self.bits, dtype=np.uint8)
         end = len(raw)
         while end:
@@ -115,6 +116,7 @@ def _odd_sieve(hi: int):
     """Sieve the odd base primes up to isqrt(hi) once, and return strike(s, e):
     whether each odd number s, s + 2, ... <= e (s odd) is prime, crossed off
     with the base primes p, p * p <= e.  The prime 2 is left to the caller."""
+    import numpy as np
     root = math.isqrt(hi)
     if root > _BASE_PRIME_LIMIT:
         raise ResourceLimitError(f"sieving up to {hi} needs base primes above the "
@@ -147,6 +149,7 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
     scans often stop in the first window, and double up to one segment
     (2 * SEGMENT_BITS), but are at least min(overlap, SEGMENT_BITS); a window
     spans at most max(2 * SEGMENT_BITS, SEGMENT_BITS + overlap) integers."""
+    import numpy as np
     if lo < 0:
         raise ValueError(f"a prime scan needs lo >= 0, got {lo}")
     seg = 2 * SEGMENT_BITS  # integers per segment
@@ -174,6 +177,7 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
 def sieve_window(lo: int, hi: int) -> np.ndarray:
     """Primality over [lo, hi]: element i tells whether lo + i is prime; the
     result is empty when lo > hi."""
+    import numpy as np
     out = np.zeros(max(hi - lo + 1, 0), dtype=bool)
     for s, prime in prime_windows(lo, hi):
         out[s - lo: s - lo + len(prime)] = prime
@@ -184,13 +188,13 @@ def sieve_window(lo: int, hi: int) -> np.ndarray:
 def sieve(limit: int, max_bytes: int = _DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
     """The kernel's odd-number segments over [0, limit], packed; O(limit/8)
     bytes of result bits plus one segment of working space."""
+    import numpy as np
     if limit < 1:
         raise ValueError("limit must be >= 1")
     nbytes = (limit + 8) // 8
     if nbytes > max_bytes:
         raise ResourceLimitError(f"sieve to {limit} exceeds the {max_bytes}-byte budget")
-    # spread[v] puts the 8 bits of v on the odd bit positions of 16 bits; it
-    # is built here, not at import, to keep numpy's ufuncs out of start-up
+    # spread[v] puts the 8 bits of v on the odd bit positions of 16 bits
     nibble = np.array([0, 2, 8, 10, 32, 34, 40, 42, 128, 130, 136, 138, 160, 162, 168, 170],
                       dtype="<u2")
     spread = nibble[np.arange(256) & 15] | nibble[np.arange(256) >> 4] << 8
@@ -332,6 +336,7 @@ class SmoothnessPolicy:
         """max(factor * ln n, 2) for a float n or float array n.  is_smooth and
         the bulk mask both take it from here, with numpy's log, because
         math.log may differ from it in the last bit."""
+        import numpy as np
         # ln 0 = -inf falls to the floor of 2; a product past the floats is inf
         with np.errstate(divide="ignore", over="ignore"):
             return np.maximum(self.factor * np.log(n), 2.0)
@@ -340,26 +345,36 @@ class SmoothnessPolicy:
 def _smooth_window(policy: SmoothnessPolicy, s: int, prime: np.ndarray,
                    base: list[int]) -> np.ndarray:
     """keep[i]: whether s + i > 1 is smooth, given the window's primality and
-    the primes up to sqrt(end).  Dividing out the primes p <= min(max y,
-    sqrt(end)) and their powers leaves 1, p+(n) > sqrt(end), or a number above
-    max y, so n is smooth iff max(largest p divided out, rest) <= y(n)."""
+    the primes up to sqrt(end).  With y a bound on y(n) over the window,
+    dividing out the primes p <= min(y, sqrt(end)) and their powers leaves 1,
+    p+(n) > sqrt(end), or a number above y, so n is smooth iff max(largest p
+    divided out, rest) <= y(n).  The log threshold is taken only where that
+    maximum is at most y."""
+    import numpy as np
     if policy.kind == "composites":
         return ~prime
     e = s + len(prime) - 1
+    # the unit of slack covers np.log failing to be monotone in the last bit
+    y = policy.bound if policy.kind == "fixed" else policy.log_threshold(float(e)) + 1
     rem = np.arange(s, e + 1, dtype=np.int32)  # below 2**31 by the mask budget
-    y = policy.bound if policy.kind == "fixed" else policy.log_threshold(rem.astype(np.float64))
     top = np.zeros_like(rem)  # the largest p divided out of each n
-    for p in base[: bisect_right(base, min(np.max(y), math.isqrt(e)))]:
+    for p in base[: bisect_right(base, min(y, math.isqrt(e)))]:
         top[-s % p:: p] = p
         q = p
         while q <= e:
             rem[-s % q:: q] //= p
             q *= p
-    return np.maximum(top, rem) <= y
+    most = np.maximum(top, rem)
+    keep = most <= y
+    if policy.kind == "log":
+        idx = np.flatnonzero(keep)
+        keep[idx] = most[idx] <= policy.log_threshold((idx + s).astype(np.float64))
+    return keep
 
 
 def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
     """Smoothness over [0, limit] by windows: the mask plus one window of memory."""
+    import numpy as np
     check_mask_budget(limit)
     base = np.flatnonzero(sieve_window(0, math.isqrt(limit))).tolist()
     keep = np.zeros(limit + 1, dtype=bool)
@@ -372,6 +387,7 @@ def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
 
 def smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
     """The smooth integers in [1, limit] under the policy, window [1, limit]."""
+    import numpy as np
     if limit < 1:
         raise ValueError("limit must be >= 1")
     values = np.flatnonzero(_smooth_mask(policy, limit))
@@ -380,6 +396,7 @@ def smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
 
 def shifted_smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
     """{m + 1 : m smooth, m + 1 <= limit}, window [1, limit]."""
+    import numpy as np
     if limit < 2:
         raise ValueError("limit must be >= 2")
     values = np.flatnonzero(_smooth_mask(policy, limit - 1)) + 1

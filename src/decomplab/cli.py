@@ -15,8 +15,6 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from . import __version__
 from .arith import (
     PrimeSieve,
@@ -238,6 +236,7 @@ def _candidate_payload(cand):
 
 
 def _cmd_decompose(args):
+    import numpy as np
     if args.target_file:
         target = IntegerSet.load_text(args.target_file)
         source = args.target_file

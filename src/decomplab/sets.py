@@ -8,8 +8,6 @@ from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import combinations, starmap
 
-import numpy as np
-
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
 SUNIT_BUDGET = 1 << 22  # most head tuples semigroup.solve_sunit may hash
@@ -85,6 +83,7 @@ class IntegerSet:
 
     def as_mask(self) -> np.ndarray:
         """Dense membership mask over [0, window_hi]."""
+        import numpy as np
         check_mask_budget(self.window_hi)
         mask = np.zeros(self.window_hi + 1, dtype=bool)
         if self.elements:
@@ -114,6 +113,7 @@ def _outer_unique(op, b: IntegerSet, c: IntegerSet) -> tuple[int, ...]:
     that the largest result is <= 2**63, so uint64 holds every result
     exactly.  Repeats are dropped by hand because np.unique imports
     numpy.ma on its first call, about 15 ms per process."""
+    import numpy as np
     eb = np.asarray(b.elements, dtype=np.uint64)
     ec = np.asarray(c.elements, dtype=np.uint64)
     values = np.sort(op.outer(eb, ec), axis=None)
@@ -124,6 +124,7 @@ def _outer_unique(op, b: IntegerSet, c: IntegerSet) -> tuple[int, ...]:
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
     """{x + y : x in b, y in c}, window [lo_b+lo_c, hi_b+hi_c]."""
+    import numpy as np
     if b.elements and c.elements:
         if b.elements[-1] + c.elements[-1] > VALUE_CAP:
             raise OverflowError("sum exceeds 2**63")
@@ -135,6 +136,7 @@ def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
 
 def productset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
     """{x * y : x in b, y in c}; every element of both parts must be >= 1."""
+    import numpy as np
     for part in (b, c):
         if part.elements and part.elements[0] < 1:
             raise ValueError("product sets need all elements >= 1")
@@ -221,6 +223,7 @@ def decompose_search(
     Only parts with |b| <= max_b_size are visible: a decomposition whose both
     halves are large/infinite is invisible to this finite search.
     """
+    import numpy as np
     if not target.elements:
         raise ValueError("target must be nonempty")
     if max_b_size < 2 or max_b_elem < 1:
@@ -309,6 +312,7 @@ def verify_composite_decomposition(limit: int) -> CompositeCoverReport:
     n-5 (one of them is divisible by 3 and exceeds 3), so equality is exact on
     [9, limit] with no edge slack.
     """
+    import numpy as np
     if limit < 20:
         raise ValueError("limit must be at least 20")
     from .arith import SEGMENT_BITS, prime_windows
@@ -329,6 +333,7 @@ def _cover_window(scratch: np.ndarray, s: int, prime: np.ndarray):
     """One window [s, e] of the cover walk, inverted in place: A on [s, e - 5]
     covers [s + 5, e - 5].  Returns the counts there of A (from 1 in the first
     window), the cover and the composites (from 9), and the first mismatch."""
+    import numpy as np
     halo = COVER_OFFSETS[-1]
     nonprime = np.logical_not(prime, out=prime)
     size = len(nonprime) - halo

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
 
-import numpy as np
-
 from .arith import is_composite, is_prime, prime_windows
 
 
@@ -121,6 +119,7 @@ def _constellation_scan(t, lo, hi, composite_center, consecutive):
 
 
 def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, s, prime):
+    import numpy as np
     # the n in [lo, hi] whose span lies in the window [s, s + len(prime) - 1]
     a = max(lo, s - u_lo)
     count = max(min(hi, s + len(prime) - 1 - u_hi) - a + 1, 0)

@@ -364,6 +364,21 @@ def test_smooth_sets_match_pointwise_across_window_edges(monkeypatch):
             assert shifted == tuple(n + 1 for n in want), (policy, bits)
 
 
+def test_log_threshold_is_taken_only_at_candidates(monkeypatch):
+    # 10,311 of the 10**6 integers are smooth; the threshold is taken once per
+    # window and once per n with p+(n) at most the window's bound on y(n)
+    limit, taken = 10**6, []
+    exact = SmoothnessPolicy.log_threshold
+
+    def counted(self, n):
+        taken.append(np.size(n))
+        return exact(self, n)
+
+    monkeypatch.setattr(SmoothnessPolicy, "log_threshold", counted)
+    arith._smooth_mask(SmoothnessPolicy.log_factor(2), limit)
+    assert sum(taken) < limit // 50
+
+
 def test_smooth_mask_memory_is_one_byte_per_integer(monkeypatch):
     monkeypatch.setattr(arith, "SEGMENT_BITS", 1 << 12)
     limit = 10**6

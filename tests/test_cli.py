@@ -380,6 +380,50 @@ def test_big_integers_become_strings(capsys):
     assert _jsonable(True) is True
 
 
+# one argv for each subcommand that builds no array; both witness mul branches
+NUMPY_FREE = [
+    ["sunit", "--coeffs=1,1,-4", "--gamma", "2,3,5", "--height", "100"],
+    ["l-set", "--gamma", "2,3", "--k", "2", "--height", "100", "--eps-height", "10"],
+    ["hk", "--gamma", "2,3", "--k", "2", "--limit", "50"],
+    ["witness", "mul", "--b", "1,2", "--n0", "1", "--t-hi", "1000"],
+    ["witness", "mul", "--b", "2,3", "--n0", "100"],
+    ["tuple", "admissible", "--offsets=0,2,6"],
+    ["tuple", "select-triple", "--b2", "2", "--b3", "6"],
+    ["two-term", "--t2", "4", "--t1", "8", "--n", "3", "--c=-3099127716", "--cap", "49"],
+    ["semigroup", "list", "--gamma", "2,7", "--limit", "1000"],
+]
+
+
+def test_point_queries_start_without_numpy(tmp_path, capsys):
+    # every test module imports numpy, so the check runs in a fresh interpreter
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from decomplab.cli import run\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(run(argv + ['--json']))\n"
+        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(NUMPY_FREE)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[EXIT_OK] * len(NUMPY_FREE), False]
+    # a process that first imports numpy inside a command reports as run in-process
+    target = tmp_path / "target.txt"
+    for argv in (["smooth", "--policy", "log", "--factor", "4", "--limit", "4000",
+                  "--out", str(target)],
+                 ["decompose", "--kind", "multiplicative", "--target-file", str(target),
+                  "--max-b-size", "3", "--max-b-elem", "20"]):
+        proc = subprocess.run([sys.executable, "-m", "decomplab", *argv, "--json"],
+                              capture_output=True, text=True)
+        written = target.read_text()
+        code, report = run_json(capsys, argv)
+        assert (proc.returncode, proc.stderr) == (code, "")
+        assert canonical(json.loads(proc.stdout)) == canonical(report)
+        assert target.read_text() == written
+
+
 def test_human_output_and_entry_point(capsys):
     code = run(["tuple", "select-triple", "--b2", "2", "--b3", "4"])
     out = capsys.readouterr().out

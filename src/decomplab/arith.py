@@ -78,17 +78,8 @@ class PrimeSieve:
 
     def largest_prime(self) -> int | None:
         """The largest prime <= limit, read from the last nonzero byte."""
-        import numpy as np
-        raw = np.frombuffer(self.bits, dtype=np.uint8)
-        end = len(raw)
-        while end:
-            start = max(end - 4096, 0)
-            nonzero = np.flatnonzero(raw[start:end])
-            if len(nonzero):
-                j = start + int(nonzero[-1])
-                return 8 * j + int(raw[j]).bit_length() - 1
-            end = start
-        return None
+        top = self.bits.rstrip(b"\0")
+        return 8 * (len(top) - 1) + top[-1].bit_length() - 1 if top else None
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -185,30 +176,18 @@ def sieve_window(lo: int, hi: int) -> np.ndarray:
     return out
 
 
-def sieve(limit: int, max_bytes: int = _DEFAULT_SIEVE_BUDGET) -> PrimeSieve:
-    """The kernel's odd-number segments over [0, limit], packed; O(limit/8)
-    bytes of result bits plus one segment of working space."""
+def sieve(limit: int) -> PrimeSieve:
+    """The prime scan's windows over [0, limit], packed; O(limit/8) bytes of
+    result bits plus one window of working space."""
     import numpy as np
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    nbytes = (limit + 8) // 8
-    if nbytes > max_bytes:
-        raise ResourceLimitError(f"sieve to {limit} exceeds the {max_bytes}-byte budget")
-    # spread[v] puts the 8 bits of v on the odd bit positions of 16 bits
-    nibble = np.array([0, 2, 8, 10, 32, 34, 40, 42, 128, 130, 136, 138, 160, 162, 168, 170],
-                      dtype="<u2")
-    spread = nibble[np.arange(256) & 15] | nibble[np.arange(256) >> 4] << 8
-    bits = np.zeros(nbytes + 1, dtype=np.uint8)  # the last segment may spill one byte
-    strike = _odd_sieve(limit)
-    for s in range(1, limit + 1, 2 * SEGMENT_BITS):
-        # s - 1 is a multiple of 16; each byte of 8 odd flags spreads to the
-        # odd bit positions of the 2 bytes for 16 integers
-        packed = np.packbits(strike(s, min(s + 2 * SEGMENT_BITS - 1, limit)), bitorder="little")
-        j = s >> 3
-        np.take(spread, packed, out=bits[j: j + 2 * len(packed)].view("<u2"))
-    if limit >= 2:
-        bits[0] |= 1 << 2
-    return PrimeSieve(limit=limit, bits=bits[:nbytes].tobytes())
+    if (limit + 8) // 8 > _DEFAULT_SIEVE_BUDGET:
+        raise ResourceLimitError(f"sieve to {limit} exceeds the "
+                                 f"{_DEFAULT_SIEVE_BUDGET}-byte budget")
+    # every window from 0 starts at a multiple of 8, so its bytes follow on
+    return PrimeSieve(limit, b"".join(np.packbits(prime, bitorder="little").tobytes()
+                                      for _, prime in prime_windows(0, limit)))
 
 
 _TRIAL_PRIMES = tuple(p for p in range(2, 1 << 10) if is_prime(p))

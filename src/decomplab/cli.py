@@ -115,15 +115,9 @@ def _policy_from_args(args) -> SmoothnessPolicy:
 
 
 def _cmd_sieve(args):
-    cache_used = False
-    if args.cache and os.path.exists(args.cache):
-        loaded = PrimeSieve.load(args.cache)
-        if loaded.limit == args.limit:
-            ps, cache_used = loaded, True
-        else:
-            ps = sieve(args.limit)
-            ps.save(args.cache)
-    else:
+    ps = PrimeSieve.load(args.cache) if args.cache and os.path.exists(args.cache) else None
+    cache_used = ps is not None and ps.limit == args.limit
+    if not cache_used:
         ps = sieve(args.limit)
         if args.cache:
             ps.save(args.cache)
@@ -499,10 +493,18 @@ def run(argv) -> int:
         "elapsed_ms": elapsed,
         "version": __version__,
     }
-    if args.json:
-        print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
-    else:
-        _print_human(report)
+    try:
+        if args.json:
+            print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
+        else:
+            _print_human(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early: the run still stands, and fd 1 now points at
+        # devnull so that the flush at shutdown stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -4,13 +4,15 @@ sums, bounded-height S-unit enumeration, and the lone factorable family."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product as iter_product
 from operator import mul
 
-from .sets import (SUNIT_BUDGET, DecompositionCandidate, IntegerSet, ResourceLimitError,
-                   decompose_search, productset, windowed_equal)
+from .sets import (DecompositionCandidate, IntegerSet, ResourceLimitError, decompose_search,
+                   productset, windowed_equal)
+
+SUNIT_BUDGET = 1 << 22  # most head tuples solve_sunit may hash
 
 
 @dataclass(frozen=True)
@@ -82,13 +84,7 @@ class ExceptionalFactorizationReport:
     product_count: int
 
     def to_json_dict(self):
-        return {
-            "limit": self.limit,
-            "passed": self.passed,
-            "first_mismatch": self.first_mismatch,
-            "family_count": self.family_count,
-            "product_count": self.product_count,
-        }
+        return asdict(self)
 
 
 def verify_exceptional_factorization(limit: int) -> ExceptionalFactorizationReport:

@@ -10,7 +10,6 @@ from itertools import combinations, starmap
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
-SUNIT_BUDGET = 1 << 22  # most head tuples semigroup.solve_sunit may hash
 
 
 class WindowError(ValueError):

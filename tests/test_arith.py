@@ -86,14 +86,15 @@ def test_sieve_agrees_with_miller_rabin():
         assert bool(mask[n]) == is_prime(n)
 
 
-def test_sieve_contract_violations():
+def test_sieve_contract_violations(monkeypatch):
     ps = sieve(50)
     with pytest.raises(ValueError):
         ps.is_prime(51)
     with pytest.raises(ValueError):
         sieve(0)
+    monkeypatch.setattr(arith, "_DEFAULT_SIEVE_BUDGET", 1000)
     with pytest.raises(MemoryError):
-        sieve(10**9, max_bytes=1000)
+        sieve(10**9)
 
 
 def test_resource_limits_refuse_before_allocating():
@@ -260,6 +261,9 @@ def test_largest_prime():
     assert sieve(2).largest_prime() == 2
     for limit in (23, 24, 8191, 8192, 1024, 1031, 10**5):
         assert sieve(limit).largest_prime() == max(naive_sieve(limit)), limit
+    # the top prime more than 4096 bytes before the end, and no prime at all
+    assert PrimeSieve(8 * 5000, b"\x04" + b"\0" * 5000).largest_prime() == 2
+    assert PrimeSieve(8 * 5000, bytes(5001)).largest_prime() is None
 
 
 def test_greatest_prime_factor():

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from decomplab.arith import sieve
 from decomplab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
 from decomplab.sets import MASK_BUDGET
 
@@ -395,6 +396,10 @@ NUMPY_FREE = [
 
 
 def test_point_queries_start_without_numpy(tmp_path, capsys):
+    # a sieve read back from a matching cache needs no numpy either
+    cache = tmp_path / "sieve.psv"
+    sieve(1000).save(cache)
+    argvs = NUMPY_FREE + [["sieve", "--limit", "1000", "--cache", str(cache)]]
     # every test module imports numpy, so the check runs in a fresh interpreter
     script = (
         "import contextlib, io, json, sys\n"
@@ -405,10 +410,10 @@ def test_point_queries_start_without_numpy(tmp_path, capsys):
         "        codes.append(run(argv + ['--json']))\n"
         "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(NUMPY_FREE)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[EXIT_OK] * len(NUMPY_FREE), False]
+    assert json.loads(proc.stdout) == [[EXIT_OK] * len(argvs), False]
     # a process that first imports numpy inside a command reports as run in-process
     target = tmp_path / "target.txt"
     for argv in (["smooth", "--policy", "log", "--factor", "4", "--limit", "4000",
@@ -422,6 +427,18 @@ def test_point_queries_start_without_numpy(tmp_path, capsys):
         assert (proc.returncode, proc.stderr) == (code, "")
         assert canonical(json.loads(proc.stdout)) == canonical(report)
         assert target.read_text() == written
+
+
+def test_reader_closing_stdout_early_is_not_a_failure():
+    # the report is about 116 KB, well past a 64 KiB pipe buffer
+    proc = subprocess.Popen([sys.executable, "-m", "decomplab", "smooth", "--policy",
+                             "composites", "--limit", "11000", "--json"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(), err) == (EXIT_OK, b"")
 
 
 def test_human_output_and_entry_point(capsys):

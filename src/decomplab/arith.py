@@ -13,7 +13,9 @@ MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
 _U64 = 1 << 64
 
 # First 12 primes: strong-pseudoprime testing with these bases is
-# deterministic for every n < 2**64 (indeed below 3.3 * 10**24).
+# deterministic for every n < 2**64 (indeed below psi_12 =
+# 318665857834031151167461 ~ 3.2 * 10**23, the least strong pseudoprime to
+# all twelve).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 SEGMENT_BITS = 1 << 20  # odd numbers per sieve segment: 1 MiB of flags, 2**21 integers
@@ -113,16 +115,15 @@ def _odd_sieve(hi: int):
         raise ResourceLimitError(f"sieving up to {hi} needs base primes above the "
                                  f"{_BASE_PRIME_LIMIT} limit")
     base = np.flatnonzero(sieve_window(3, root)) + 3  # ends at root < 3, an empty window
-    squares, primes = base * base, base.tolist()
 
     def strike(s: int, e: int) -> np.ndarray:
         n = (e - s) // 2 + 1
-        k = int(np.searchsorted(squares, e, side="right"))
+        ps = base[: int(np.searchsorted(base, math.isqrt(e), side="right"))]
         # the first odd multiple of p at or above max(p*p, s)
-        first = np.maximum(squares[:k], (s + base[:k] - 1) // base[:k] * base[:k])
-        first += base[:k] * (first % 2 == 0)
+        first = np.maximum(ps * ps, (s + ps - 1) // ps * ps)
+        first += ps * (first % 2 == 0)
         flags = np.ones(n, dtype=bool)
-        for p, i in zip(primes, ((first - s) // 2).tolist()):
+        for p, i in zip(ps.tolist(), ((first - s) // 2).tolist()):
             if i < n:
                 flags[i::p] = False
         if s == 1:
@@ -366,17 +367,13 @@ def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
 
 def smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
     """The smooth integers in [1, limit] under the policy, window [1, limit]."""
-    import numpy as np
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    values = np.flatnonzero(_smooth_mask(policy, limit))
-    return IntegerSet(tuple(values.tolist()), 1, limit)
+    return IntegerSet.from_mask(_smooth_mask(policy, limit), 1, limit)
 
 
 def shifted_smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
     """{m + 1 : m smooth, m + 1 <= limit}, window [1, limit]."""
-    import numpy as np
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    values = np.flatnonzero(_smooth_mask(policy, limit - 1)) + 1
-    return IntegerSet(tuple(values.tolist()), 1, limit)
+    return IntegerSet.from_mask(_smooth_mask(policy, limit - 1), 1, limit, start=1)

@@ -91,14 +91,14 @@ def _jsonable(obj):
 
 
 def _elements_payload(values) -> dict:
-    values = list(values)
     payload = {"count": len(values)}
+    # list(): a tuple would print with parentheses in the human report
     if len(values) <= _LIST_CAP:
-        payload["elements"] = values
+        payload["elements"] = list(values)
     else:
         payload["elements_omitted"] = True
-        payload["head"] = values[:20]
-        payload["tail"] = values[-20:]
+        payload["head"] = list(values[:20])
+        payload["tail"] = list(values[-20:])
     return payload
 
 
@@ -230,7 +230,6 @@ def _candidate_payload(cand):
 
 
 def _cmd_decompose(args):
-    import numpy as np
     if args.target_file:
         target = IntegerSet.load_text(args.target_file)
         source = args.target_file
@@ -240,8 +239,7 @@ def _cmd_decompose(args):
         lo, hi = _parse_window(args.window)
         check_mask_budget(hi)
         start = max(lo, 2)
-        values = np.flatnonzero(~sieve_window(start, hi)) + start
-        target = IntegerSet(tuple(values.tolist()), lo, hi)
+        target = IntegerSet.from_mask(~sieve_window(start, hi), lo, hi, start)
         source = f"composites in [{lo}, {hi}]"
     else:
         raise _UsageError("decompose needs --target-file or --composites")
@@ -499,12 +497,14 @@ def run(argv) -> int:
         else:
             _print_human(report)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader left early: the run still stands, and fd 1 now points at
-        # devnull so that the flush at shutdown stays silent
+    except OSError as exc:
+        # fd 1 now points at devnull so that the flush at shutdown stays silent
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
+        if not isinstance(exc, BrokenPipeError):  # a reader that left early is no failure
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_RESOURCE
     return code
 
 

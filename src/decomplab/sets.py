@@ -89,6 +89,17 @@ class IntegerSet:
             mask[np.fromiter(self.elements, dtype=np.int64)] = True
         return mask
 
+    @classmethod
+    def from_mask(cls, mask: np.ndarray, window_lo: int, window_hi: int,
+                  start: int = 0) -> "IntegerSet":
+        """{start + i : mask[i]} on [window_lo, window_hi]; the inverse of as_mask."""
+        import numpy as np
+        idx = np.flatnonzero(mask)
+        idx += start
+        values = idx.tolist()
+        del idx  # free the indices before the tuple is built
+        return cls(tuple(values), window_lo, window_hi)
+
     def save_text(self, path) -> None:
         """Text format: header "# window lo hi", then one integer per line."""
         with open(path, "w") as fh:
@@ -104,47 +115,25 @@ class IntegerSet:
                 raise ValueError(f"{path}: missing '# window lo hi' header")
             lo, hi = int(header[2]), int(header[3])
             values = [int(line) for line in fh if line.strip()]
-        return cls(tuple(sorted(set(values))), lo, hi)
-
-
-def _outer_unique(op, b: IntegerSet, c: IntegerSet) -> tuple[int, ...]:
-    """Sorted distinct op(x, y) over x in b, y in c.  Callers check first
-    that the largest result is <= 2**63, so uint64 holds every result
-    exactly.  Repeats are dropped by hand because np.unique imports
-    numpy.ma on its first call, about 15 ms per process."""
-    import numpy as np
-    eb = np.asarray(b.elements, dtype=np.uint64)
-    ec = np.asarray(c.elements, dtype=np.uint64)
-    values = np.sort(op.outer(eb, ec), axis=None)
-    keep = np.ones(len(values), dtype=bool)
-    keep[1:] = values[1:] != values[:-1]
-    return tuple(values[keep].tolist())
+        return cls.from_values(values, lo, hi)
 
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
     """{x + y : x in b, y in c}, window [lo_b+lo_c, hi_b+hi_c]."""
-    import numpy as np
-    if b.elements and c.elements:
-        if b.elements[-1] + c.elements[-1] > VALUE_CAP:
-            raise OverflowError("sum exceeds 2**63")
-        elems = _outer_unique(np.add, b, c)
-    else:
-        elems = ()
+    if b.elements and c.elements and b.elements[-1] + c.elements[-1] > VALUE_CAP:
+        raise OverflowError("sum exceeds 2**63")
+    elems = tuple(sorted({x + y for x in b.elements for y in c.elements}))
     return IntegerSet(elems, b.window_lo + c.window_lo, b.window_hi + c.window_hi)
 
 
 def productset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
     """{x * y : x in b, y in c}; every element of both parts must be >= 1."""
-    import numpy as np
     for part in (b, c):
         if part.elements and part.elements[0] < 1:
             raise ValueError("product sets need all elements >= 1")
-    if b.elements and c.elements:
-        if b.elements[-1] * c.elements[-1] > VALUE_CAP:
-            raise OverflowError("product exceeds 2**63")
-        elems = _outer_unique(np.multiply, b, c)
-    else:
-        elems = ()
+    if b.elements and c.elements and b.elements[-1] * c.elements[-1] > VALUE_CAP:
+        raise OverflowError("product exceeds 2**63")
+    elems = tuple(sorted({x * y for x in b.elements for y in c.elements}))
     return IntegerSet(elems, b.window_lo * c.window_lo, b.window_hi * c.window_hi)
 
 
@@ -278,9 +267,8 @@ def decompose_search(
                 seg = slice(cover_lo, cover_hi + 1)
                 if np.any(mask[seg] & ~covered[seg]):
                     continue
-            cvals = tuple(np.flatnonzero(ok).tolist())
             accepted.append(DecompositionCandidate(
-                kind, b, IntegerSet(cvals, c_min, climit), (cover_lo, cover_hi)
+                kind, b, IntegerSet.from_mask(ok, c_min, climit), (cover_lo, cover_hi)
             ))
     accepted.sort(key=lambda cand: cand.b)
     return accepted

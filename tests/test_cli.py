@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -392,6 +393,7 @@ NUMPY_FREE = [
     ["tuple", "select-triple", "--b2", "2", "--b3", "6"],
     ["two-term", "--t2", "4", "--t1", "8", "--n", "3", "--c=-3099127716", "--cap", "49"],
     ["semigroup", "list", "--gamma", "2,7", "--limit", "1000"],
+    ["verify-exception", "--limit", "1048576"],
 ]
 
 
@@ -439,6 +441,17 @@ def test_reader_closing_stdout_early_is_not_a_failure():
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(), err) == (EXIT_OK, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+def test_report_that_cannot_be_written_is_a_resource_error(mode):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "decomplab", "sieve", "--limit", "1000",
+                               *mode], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == EXIT_RESOURCE
+    assert proc.stderr.startswith("error: cannot write the report: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 def test_human_output_and_entry_point(capsys):

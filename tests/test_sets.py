@@ -47,6 +47,13 @@ def test_integer_set_validation():
     assert s.elements == (1, 3, 5)
     assert 3 in s and 2 not in s
     assert s.slice(2, 4) == (3,)
+    # from_mask inverts as_mask, shifts by start and still checks the window
+    t = iset([4, 6, 8, 9], lo=2, hi=12)
+    assert IntegerSet.from_mask(t.as_mask(), t.window_lo, t.window_hi) == t
+    assert IntegerSet.from_mask(t.as_mask()[3:], 1, 12, start=3) == iset([4, 6, 8, 9], 1, 12)
+    assert IntegerSet.from_mask(t.as_mask()[:4], 5, 7) == IntegerSet((), 5, 7)
+    with pytest.raises(ValueError):
+        IntegerSet.from_mask(t.as_mask(), 5, 12)
 
 
 def test_text_roundtrip(tmp_path):

@@ -95,7 +95,10 @@ class PrimeSieve:
             magic = fh.read(4)
             if magic != _SIEVE_MAGIC:
                 raise ValueError(f"{path}: bad magic {magic!r}")
-            (limit,) = struct.unpack("<Q", fh.read(8))
+            head = fh.read(8)
+            if len(head) < 8:
+                raise ValueError(f"{path}: header cut short at {4 + len(head)} of 12 bytes")
+            (limit,) = struct.unpack("<Q", head)
             bits = fh.read()
         expected = (limit + 8) // 8
         if len(bits) != expected:
@@ -108,7 +111,11 @@ class PrimeSieve:
 def _odd_sieve(hi: int):
     """Sieve the odd base primes up to isqrt(hi) once, and return strike(s, e):
     whether each odd number s, s + 2, ... <= e (s odd) is prime, crossed off
-    with the base primes p, p * p <= e.  The prime 2 is left to the caller."""
+    with the base primes p, p * p <= e.  Each prime's first odd multiple at or
+    above max(p * p, s), (max(p, ceil(s / p)) | 1) * p, is crossed off in one
+    array step for all of them; a Python loop then walks only the primes whose
+    next odd multiple still lies in the segment, those below about (e - s) / 2.
+    The prime 2 is left to the caller."""
     import numpy as np
     root = math.isqrt(hi)
     if root > _BASE_PRIME_LIMIT:
@@ -119,13 +126,13 @@ def _odd_sieve(hi: int):
     def strike(s: int, e: int) -> np.ndarray:
         n = (e - s) // 2 + 1
         ps = base[: int(np.searchsorted(base, math.isqrt(e), side="right"))]
-        # the first odd multiple of p at or above max(p*p, s)
-        first = np.maximum(ps * ps, (s + ps - 1) // ps * ps)
-        first += ps * (first % 2 == 0)
+        # p's first odd multiple at or above max(p*p, s), as an offset; the next is p on
+        i = ((np.maximum(ps, -(-s // ps)) | 1) * ps - s) // 2
         flags = np.ones(n, dtype=bool)
-        for p, i in zip(ps.tolist(), ((first - s) // 2).tolist()):
-            if i < n:
-                flags[i::p] = False
+        flags[i[i < n]] = False
+        twice = i + ps < n  # only these primes strike the segment again
+        for p, j in zip(ps[twice].tolist(), (i + ps)[twice].tolist()):
+            flags[j::p] = False
         if s == 1:
             flags[:1] = False
         return flags

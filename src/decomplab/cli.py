@@ -261,7 +261,7 @@ def _cmd_decompose(args):
 def _cmd_sunit(args):
     try:
         coeffs = [Fraction(tok) for tok in args.coeffs.split(",") if tok.strip()]
-    except ValueError:
+    except (ValueError, ZeroDivisionError):
         raise _UsageError(f"--coeffs expects integers or fractions, got {args.coeffs!r}")
     g = GammaSemigroup.of(_parse_int_list(args.gamma, "--gamma"))
     classes = solve_sunit(SUnitEquation.of(coeffs, g), args.height)

@@ -271,7 +271,8 @@ def l_set(g: GammaSemigroup, k: int, height: int, eps_height: int) -> IntegerSet
 
 def solve_two_term(t2: int, t1: int, n: int, c: int, alpha_cap: int) -> list[tuple[int, int]]:
     """All (a1, a2) with both exponents <= alpha_cap and
-    t2 * n**a1 - t1 * n**a2 = c, by exhaustive sweep."""
+    t2 * n**a1 - t1 * n**a2 = c, by lookup: n >= 2 makes t1 * n**a2
+    injective in a2, so each a1 has at most one partner."""
     if t1 < 1 or t2 < 1:
         raise ValueError("t1 and t2 must be positive")
     if n < 2:
@@ -281,13 +282,8 @@ def solve_two_term(t2: int, t1: int, n: int, c: int, alpha_cap: int) -> list[tup
     powers = [1]
     for _ in range(alpha_cap):
         powers.append(powers[-1] * n)
-    out = []
-    for a1 in range(alpha_cap + 1):
-        lhs = t2 * powers[a1]
-        for a2 in range(alpha_cap + 1):
-            if lhs - t1 * powers[a2] == c:
-                out.append((a1, a2))
-    return out
+    partner = {t1 * q: a2 for a2, q in enumerate(powers)}
+    return [(a1, partner[t2 * q - c]) for a1, q in enumerate(powers) if t2 * q - c in partner]
 
 
 def two_term_min_exponent_bound(n: int, c: int) -> int | None:

@@ -267,3 +267,18 @@ def naive_constellation(offsets, lo, hi, is_prime, composite_center=False, conse
                 continue
         hits.append(n)
     return hits
+
+
+def two_term_sweep(t2, t1, n, c, alpha_cap):
+    """All (a1, a2) <= alpha_cap with t2 * n**a1 - t1 * n**a2 = c, by sweeping
+    every pair."""
+    powers = [1]
+    for _ in range(alpha_cap):
+        powers.append(powers[-1] * n)
+    out = []
+    for a1 in range(alpha_cap + 1):
+        lhs = t2 * powers[a1]
+        for a2 in range(alpha_cap + 1):
+            if lhs - t1 * powers[a2] == c:
+                out.append((a1, a2))
+    return out

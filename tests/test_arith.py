@@ -164,6 +164,32 @@ def test_sieve_window_small_segments(monkeypatch):
     assert sieve(3000).bits == _naive_bits(3000)
 
 
+def test_strike_one_full_segment_near_two_to_48():
+    # all 1.07M base primes below 2**24 reach this segment; most strike it once
+    # or not at all, and the segment must not cost memory for each of them
+    s = 2**48 + 1
+    e = s + 2 * SEGMENT_BITS - 2
+    strike = arith._odd_sieve(e)
+    tracemalloc.start()
+    try:
+        flags = strike(s, e)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 << 20, peak / 2**20
+    assert len(flags) == SEGMENT_BITS
+    rng = random.Random(48)
+    for i in [*range(2000), *range(SEGMENT_BITS - 2000, SEGMENT_BITS),
+              *rng.sample(range(SEGMENT_BITS), 2000)]:
+        assert flags[i] == is_prime(s + 2 * i), i
+
+
+def test_sieve_window_across_two_to_48():
+    lo = 2**48 - 2000
+    got = sieve_window(lo, 2**48 + 2000)
+    assert got.tolist() == [is_prime(n) for n in range(lo, 2**48 + 2001)]
+
+
 def _check_prime_windows(lo, hi, overlap, want):
     """prime_windows(lo, hi, overlap) gives want (primality over [lo, hi])
     once the repeated integers are dropped, repeats the last `overlap`
@@ -243,6 +269,10 @@ def test_sieve_cache_validation(tmp_path):
     truncated.write_bytes(truncated.read_bytes()[:-3])
     with pytest.raises(ValueError):
         PrimeSieve.load(truncated)
+    for head in (b"", b"PSV1", b"PSV1abc", b"PSV1" + bytes(7)):  # shorter than the header
+        bad.write_bytes(head)
+        with pytest.raises(ValueError):
+            PrimeSieve.load(bad)
 
 
 def test_sieve_cache_rejects_stray_padding_bits(tmp_path):

@@ -116,6 +116,23 @@ def test_sieve_cache_with_stray_bits_is_rejected(tmp_path, capsys):
     assert "padding" in capsys.readouterr().err
 
 
+def test_sieve_cache_with_short_header_is_rejected(tmp_path, capsys):
+    cache = tmp_path / "bad.psv"
+    cache.write_bytes(b"PSV1abc")
+    assert run(["sieve", "--limit", "100", "--cache", str(cache)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_sunit_unreadable_coeffs_are_usage_errors(capsys):
+    for coeffs in ("abc", "1/0,1"):
+        assert run(["sunit", f"--coeffs={coeffs}", "--gamma", "2", "--height", "10"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --coeffs") and captured.err.count("\n") == 1
+
+
 def test_resource_limits_exit_3(tmp_path, capsys):
     assert run(["sieve", "--limit", "20000000000"]) == EXIT_RESOURCE
     captured = capsys.readouterr()

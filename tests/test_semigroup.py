@@ -24,7 +24,14 @@ from decomplab import (
 )
 from decomplab import semigroup
 from decomplab.semigroup import SolutionClass, _has_vanishing_subsum
-from oracles import coprime_sums, h_family_star, sunit_classes, sunit_triples, vanishing_subsum
+from oracles import (
+    coprime_sums,
+    h_family_star,
+    sunit_classes,
+    sunit_triples,
+    two_term_sweep,
+    vanishing_subsum,
+)
 
 G2 = GammaSemigroup.of([2])
 G3 = GammaSemigroup.of([3])
@@ -383,6 +390,20 @@ def test_two_term_brute_force_consistency():
             if t2 * n**a1 - t1 * n**a2 == c
         ]
         assert got == want
+
+
+def test_two_term_lookup_matches_sweep():
+    rng = random.Random(20201126)
+    for _ in range(300):
+        n, cap = rng.randrange(2, 12), rng.randrange(0, 30)
+        t2 = rng.randrange(1, 50)
+        # t1 = t2 * n**k puts a whole diagonal of solutions at c = 0
+        t1 = t2 * n ** rng.randrange(3) if rng.random() < 0.3 else rng.randrange(1, 50)
+        a1, a2 = rng.randrange(cap + 1), rng.randrange(cap + 1)
+        planted = t2 * n**a1 - t1 * n**a2
+        assert (a1, a2) in solve_two_term(t2, t1, n, planted, cap)
+        for c in (0, planted, -abs(planted), rng.randrange(-10**6, 0), rng.randrange(10**6)):
+            assert solve_two_term(t2, t1, n, c, cap) == two_term_sweep(t2, t1, n, c, cap)
 
 
 def test_two_term_min_exponent_bound():

@@ -92,7 +92,7 @@ def _jsonable(obj):
 
 def _elements_payload(values) -> dict:
     payload = {"count": len(values)}
-    # list(): a tuple would print with parentheses in the human report
+    # list(): a tuple or an array would not print as a list in the human report
     if len(values) <= _LIST_CAP:
         payload["elements"] = list(values)
     else:

@@ -3,6 +3,7 @@ exhaustive windowed decomposition searcher."""
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -10,6 +11,7 @@ from itertools import combinations, starmap
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
+_FILL_SLICE = 1 << 20  # mask entries from_mask turns into elements at a time
 
 
 class WindowError(ValueError):
@@ -28,6 +30,18 @@ def check_mask_budget(window_hi: int) -> None:
         )
 
 
+def _check_range(elements, window_lo: int, window_hi: int) -> None:
+    """The window is valid, and the ends of the ascending elements lie inside
+    it and not above VALUE_CAP, so that every element fits a uint64."""
+    if window_lo < 0 or window_lo > window_hi:
+        raise ValueError(f"invalid window [{window_lo}, {window_hi}]")
+    if elements:
+        if elements[0] < window_lo or elements[-1] > window_hi:
+            raise ValueError("elements must lie inside the window")
+        if elements[-1] > VALUE_CAP:
+            raise ValueError("elements must not exceed 2**63")
+
+
 @dataclass(frozen=True)
 class IntegerSet:
     """Sorted, deduplicated non-negative integers, asserted complete on
@@ -35,36 +49,40 @@ class IntegerSet:
 
     The window records the truncation: membership is only meaningful inside
     it, and elements outside it are a construction error.
+
+    The elements are stored in one array('Q') and boxed into Python ints only
+    when read; slice() returns a tuple.  Any other sequence given to the
+    constructor is checked in full (strictly increasing, inside the window,
+    at most 2**63) and then converted.  An array('Q') is taken as sorted and
+    distinct, as from_mask, from_values, sumset and productset build it, and
+    only its ends are checked.  An IntegerSet is not hashable.
     """
 
-    elements: tuple[int, ...]
+    elements: array
     window_lo: int
     window_hi: int
 
     def __post_init__(self):
-        if self.window_lo < 0 or self.window_lo > self.window_hi:
-            raise ValueError(
-                f"invalid window [{self.window_lo}, {self.window_hi}]"
-            )
+        elems = self.elements
+        _check_range(elems, self.window_lo, self.window_hi)
+        if isinstance(elems, array) and elems.typecode == "Q":
+            return
         prev = -1
-        for v in self.elements:
+        for v in elems:
             if v <= prev:
                 raise ValueError("elements must be strictly increasing")
             prev = v
-        if self.elements:
-            if self.elements[0] < self.window_lo or self.elements[-1] > self.window_hi:
-                raise ValueError("elements must lie inside the window")
-            if self.elements[-1] > VALUE_CAP:
-                raise ValueError("elements must not exceed 2**63")
+        object.__setattr__(self, "elements", array("Q", elems))
 
     @classmethod
     def from_values(cls, values, window_lo=None, window_hi=None) -> "IntegerSet":
-        elems = tuple(sorted({int(v) for v in values}))
+        elems = sorted({int(v) for v in values})
         if not elems and (window_lo is None or window_hi is None):
             raise ValueError("an empty set needs an explicit window")
         lo = elems[0] if window_lo is None else window_lo
         hi = elems[-1] if window_hi is None else window_hi
-        return cls(elems, lo, hi)
+        _check_range(elems, lo, hi)
+        return cls(array("Q", elems), lo, hi)
 
     def __len__(self):
         return len(self.elements)
@@ -78,7 +96,8 @@ class IntegerSet:
 
     def slice(self, lo: int, hi: int) -> tuple[int, ...]:
         """Elements in [lo, hi]."""
-        return self.elements[bisect_left(self.elements, lo): bisect_right(self.elements, hi)]
+        elems = self.elements
+        return tuple(elems[bisect_left(elems, lo): bisect_right(elems, hi)])
 
     def as_mask(self) -> np.ndarray:
         """Dense membership mask over [0, window_hi]."""
@@ -86,19 +105,28 @@ class IntegerSet:
         check_mask_budget(self.window_hi)
         mask = np.zeros(self.window_hi + 1, dtype=bool)
         if self.elements:
-            mask[np.fromiter(self.elements, dtype=np.int64)] = True
+            mask[np.frombuffer(self.elements, dtype=np.uint64)] = True
         return mask
 
     @classmethod
     def from_mask(cls, mask: np.ndarray, window_lo: int, window_hi: int,
                   start: int = 0) -> "IntegerSet":
-        """{start + i : mask[i]} on [window_lo, window_hi]; the inverse of as_mask."""
+        """{start + i : mask[i]} on [window_lo, window_hi]; the inverse of as_mask.
+
+        The 1-D mask is read _FILL_SLICE entries at a time, so no index array
+        longer than one slice is held beside the elements."""
         import numpy as np
-        idx = np.flatnonzero(mask)
-        idx += start
-        values = idx.tolist()
-        del idx  # free the indices before the tuple is built
-        return cls(tuple(values), window_lo, window_hi)
+        if start < 0:
+            raise ValueError("mask offset start must be >= 0")
+        out = array("Q")
+        for a in range(0, len(mask), _FILL_SLICE):
+            idx = np.flatnonzero(mask[a: a + _FILL_SLICE]).view(np.uint64)
+            if len(idx):
+                _check_range((start + a + int(idx[0]), start + a + int(idx[-1])),
+                             window_lo, window_hi)
+                idx += start + a
+                out.frombytes(memoryview(idx).cast("B"))
+        return cls(out, window_lo, window_hi)
 
     def save_text(self, path) -> None:
         """Text format: header "# window lo hi", then one integer per line."""
@@ -122,7 +150,7 @@ def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
     """{x + y : x in b, y in c}, window [lo_b+lo_c, hi_b+hi_c]."""
     if b.elements and c.elements and b.elements[-1] + c.elements[-1] > VALUE_CAP:
         raise OverflowError("sum exceeds 2**63")
-    elems = tuple(sorted({x + y for x in b.elements for y in c.elements}))
+    elems = array("Q", sorted({x + y for x in b.elements for y in c.elements}))
     return IntegerSet(elems, b.window_lo + c.window_lo, b.window_hi + c.window_hi)
 
 
@@ -133,7 +161,7 @@ def productset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
             raise ValueError("product sets need all elements >= 1")
     if b.elements and c.elements and b.elements[-1] * c.elements[-1] > VALUE_CAP:
         raise OverflowError("product exceeds 2**63")
-    elems = tuple(sorted({x * y for x in b.elements for y in c.elements}))
+    elems = array("Q", sorted({x * y for x in b.elements for y in c.elements}))
     return IntegerSet(elems, b.window_lo * c.window_lo, b.window_hi * c.window_hi)
 
 

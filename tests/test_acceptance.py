@@ -313,7 +313,7 @@ def test_smoothness_policies_partition_and_shift():
         base = smooth_set(policy, 499)
         from decomplab import shifted_smooth_set
 
-        shift_ok &= shifted_smooth_set(policy, 500).elements == tuple(
+        shift_ok &= tuple(shifted_smooth_set(policy, 500).elements) == tuple(
             m + 1 for m in base.elements
         )
     _check(

@@ -328,6 +328,20 @@ def test_decompose_target_file(tmp_path, capsys):
     assert [c["b"] for c in report["result"]["candidates"]] == [[0, 1], [0, 2]]
 
 
+def test_decompose_target_out_of_range_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "t.txt"
+    for header, value, message in (("0 10", -1, "inside the window"),
+                                   (f"0 {1 << 64}", 1 << 64, "exceed 2**63")):
+        path.write_text(f"# window {header}\n3\n{value}\n")
+        argv = ["decompose", "--kind", "additive", "--target-file", str(path),
+                "--max-b-size", "2", "--max-b-elem", "3"]
+        assert run(argv) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert message in captured.err
+
+
 def test_sunit_report(capsys):
     code, report = run_json(
         capsys, ["sunit", "--coeffs", "1,1,-1", "--gamma", "2,3", "--height", "100"]

@@ -44,7 +44,7 @@ def test_integer_set_validation():
     with pytest.raises(ValueError):
         IntegerSet.from_values([])
     s = iset([5, 1, 3, 3])
-    assert s.elements == (1, 3, 5)
+    assert tuple(s.elements) == (1, 3, 5)
     assert 3 in s and 2 not in s
     assert s.slice(2, 4) == (3,)
     # from_mask inverts as_mask, shifts by start and still checks the window
@@ -54,6 +54,50 @@ def test_integer_set_validation():
     assert IntegerSet.from_mask(t.as_mask()[:4], 5, 7) == IntegerSet((), 5, 7)
     with pytest.raises(ValueError):
         IntegerSet.from_mask(t.as_mask(), 5, 12)
+
+
+def test_out_of_range_values_are_value_errors(tmp_path):
+    # checked before the values are stored as uint64, which would raise OverflowError
+    for v, lo, hi, message in ((-1, 0, 10, "inside the window"),
+                               (1 << 64, 0, 1 << 64, "exceed 2\\*\\*63")):
+        with pytest.raises(ValueError, match=message):
+            IntegerSet((v,), lo, hi)
+        with pytest.raises(ValueError, match=message):
+            IntegerSet.from_values([3, v], lo, hi)
+        path = tmp_path / "t.txt"
+        path.write_text(f"# window {lo} {hi}\n3\n{v}\n")
+        with pytest.raises(ValueError, match=message):
+            IntegerSet.load_text(path)
+    with pytest.raises(ValueError):
+        IntegerSet.from_values([-1])
+    with pytest.raises(ValueError):
+        IntegerSet.from_values([1 << 64])
+    with pytest.raises(ValueError):
+        IntegerSet.from_mask([True], 0, 10, start=-1)
+    # 2**63 itself is a legal element on every path
+    top = 1 << 63
+    for s in (IntegerSet((0, top), 0, top), iset([top, 0]),
+              IntegerSet.from_mask([True], top, top, start=top)):
+        assert top in s and top - 1 not in s and top + 1 not in s
+        assert s.slice(top, top + 5) == (top,)
+    with pytest.raises(ValueError):
+        IntegerSet.from_mask([True, True], top, top + 1, start=top)
+
+
+def test_from_mask_matches_flatnonzero_across_slices():
+    import numpy as np
+
+    rng = np.random.default_rng(20201126)
+    n = 1 << 20  # from_mask's slice length
+    masks = [np.zeros(0, dtype=bool), np.zeros(n + 1, dtype=bool)]
+    masks += [rng.random(size) < 0.5 for size in (n - 1, n, n + 1, 2 * n + 3)]
+    masks[-1][n: 2 * n] = False  # a whole slice without elements
+    for mask in masks:
+        for start in (0, 1, 1 << 40):
+            got = IntegerSet.from_mask(mask, start, start + max(len(mask) - 1, 0), start)
+            assert tuple(got.elements) == tuple(int(i) + start for i in np.flatnonzero(mask))
+        if len(mask):
+            assert np.array_equal(IntegerSet.from_mask(mask, 0, len(mask) - 1).as_mask(), mask)
 
 
 def test_text_roundtrip(tmp_path):
@@ -70,16 +114,16 @@ def test_text_roundtrip(tmp_path):
 
 def test_sumset_examples():
     c = iset([9, 10])
-    assert sumset(iset([0, 1, 3, 5]), c).elements == (9, 10, 11, 12, 13, 14, 15)
-    assert sumset(iset([1, 2]), iset([1, 2])).elements == (2, 3, 4)
+    assert tuple(sumset(iset([0, 1, 3, 5]), c).elements) == (9, 10, 11, 12, 13, 14, 15)
+    assert tuple(sumset(iset([1, 2]), iset([1, 2])).elements) == (2, 3, 4)
     shifted = sumset(iset([0], lo=0, hi=0), c)
     assert shifted.elements == c.elements
     assert (shifted.window_lo, shifted.window_hi) == (9, 10)
 
 
 def test_productset_examples():
-    assert productset(iset([1, 2]), iset([4, 5])).elements == (4, 5, 8, 10)
-    assert productset(iset([2, 3]), iset([2, 3])).elements == (4, 6, 9)
+    assert tuple(productset(iset([1, 2]), iset([4, 5])).elements) == (4, 5, 8, 10)
+    assert tuple(productset(iset([2, 3]), iset([2, 3])).elements) == (4, 6, 9)
     c = iset([3, 7])
     assert productset(iset([1]), c).elements == c.elements
 
@@ -110,8 +154,8 @@ def test_large_sumset_and_productset_match_python_sets():
 def test_overflow_errors():
     # 2**63 itself is the cap: reachable, but nothing beyond
     exact = sumset(iset([1 << 62]), iset([1 << 62]))
-    assert exact.elements == (1 << 63,)
-    assert productset(iset([1 << 31]), iset([1 << 32])).elements == (1 << 63,)
+    assert tuple(exact.elements) == (1 << 63,)
+    assert tuple(productset(iset([1 << 31]), iset([1 << 32])).elements) == (1 << 63,)
     with pytest.raises(OverflowError):
         sumset(iset([(1 << 62) + 1]), iset([1 << 62]))
     with pytest.raises(OverflowError):
@@ -137,8 +181,8 @@ def test_decompose_tiny_target():
     parts = [c.b for c in found]
     assert (0, 1) in parts and (0, 2) in parts and (0, 3) not in parts
     by_b = {c.b: c for c in found}
-    assert by_b[(0, 1)].c.elements == (0, 1, 2)
-    assert by_b[(0, 2)].c.elements == (0, 1)
+    assert tuple(by_b[(0, 1)].c.elements) == (0, 1, 2)
+    assert tuple(by_b[(0, 2)].c.elements) == (0, 1)
     assert all(c.verify(target) for c in found)
 
 
@@ -167,8 +211,8 @@ def test_decompose_multiplicative_small():
     target = iset([1, 2, 4, 8], lo=1, hi=8)
     found = decompose_search(target, "multiplicative", 2, 4, full_window=True)
     by_b = {c.b: c for c in found}
-    assert by_b[(1, 2)].c.elements == (1, 2, 4)
-    assert by_b[(1, 4)].c.elements == (1, 2)
+    assert tuple(by_b[(1, 2)].c.elements) == (1, 2, 4)
+    assert tuple(by_b[(1, 4)].c.elements) == (1, 2)
     assert all(c.verify(target) for c in found)
 
 

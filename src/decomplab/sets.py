@@ -236,10 +236,26 @@ def decompose_search(
     suppress truncation edge artifacts; full_window=True checks the whole
     window instead.
 
+    Two paths give the same candidates.  The dense path works on numpy masks
+    over [0, hi], so each b costs passes over the whole window.  The sparse
+    path works on the target's elements and never builds a mask or imports
+    numpy.  The sparse path is taken when 64 * (|target| + lo) <= hi: the
+    target and the free range below the window fill at most 1/64 of it.
+    The factor comes from timing both paths in process on one machine
+    (window / (|target| + lo) in brackets):
+      - sum families, as mprim-scan searches, favour the sparse path far
+        below it: h_family {2,3,5}, k <= 3 at 1e5 [21] 6.2 s dense, 2.5 s
+        sparse; at 1e6 [118] 34 s, 3.4 s; {3,5}, k <= 3 at 1e6 [2632]
+        5.3 s, 0.19 s;
+      - random additive targets at 1e6 cross near it: [64] 0.27 s, 0.17 s;
+      - smooth sets, whose elements share many small divisors, cross only
+        near [200]: the log policy at 4e5 [22] 0.36 s, 2.3 s; at 1e6 [66]
+        0.91 s, 2.1 s; at 1e7 [288] 8.1 s, 4.9 s.
+    Either way a window above MASK_BUDGET is refused.
+
     Only parts with |b| <= max_b_size are visible: a decomposition whose both
     halves are large/infinite is invisible to this finite search.
     """
-    import numpy as np
     if not target.elements:
         raise ValueError("target must be nonempty")
     if max_b_size < 2 or max_b_elem < 1:
@@ -247,31 +263,41 @@ def decompose_search(
     if kind not in ("additive", "multiplicative"):
         raise ValueError(f"unknown kind {kind!r}")
     lo, hi = target.window_lo, target.window_hi
-    mask = target.as_mask()
-    allowed = mask.copy()
-    allowed[:lo] = True  # combinations below the window are unconstrained
+    if kind == "multiplicative" and (target.elements[0] < 1 or lo < 1):
+        raise ValueError("multiplicative search needs a positive target and window")
+    check_mask_budget(hi)
+    path = _sparse_path if 64 * (len(target) + lo) <= hi else _dense_path
+    return _search(target, kind, max_b_size, max_b_elem, full_window, path)
 
-    # The kind decides the parts b tried, the least c, shrunk(max b) =
-    # (lo (+|*) max b, hi (-|//) max b), whose top bounds c, and
-    # view(arr, beta, climit), whose element c is arr[beta (+|*) c].
-    if kind == "additive":
-        head, pool, c_min = (0,), range(1, max_b_elem + 1), 0
+
+def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
+            full_window: bool, path) -> list[DecompositionCandidate]:
+    """decompose_search's loop over the parts b, on the given path.
+
+    The kind decides the parts b tried (0 plus a subset of 1..max_b_elem, or
+    a subset of the divisor pool), the least c, and shrunk(max b) =
+    (lo (+|*) max b, hi (-|//) max b), whose top bounds c.  The path,
+    path(target, additive, c_min), gives four steps: divides(d), whether d
+    divides a target element; complement(b, climit), the c in
+    [c_min, climit] whose every combination with b lands in the target or
+    below the window, or None when there are fewer than two; covers(b, c,
+    cover_lo, cover_hi), whether b (+|*) c holds every target element there;
+    and as_set(c, climit), c as an IntegerSet on [c_min, climit].
+    """
+    lo, hi = target.window_lo, target.window_hi
+    additive = kind == "additive"
+    c_min = 0 if additive else 1
+    divides, complement, covers, as_set = path(target, additive, c_min)
+    if additive:
+        head, pool = (0,), range(1, max_b_elem + 1)
 
         def shrunk(maxb):
             return lo + maxb, hi - maxb
-
-        def view(arr, beta, climit):
-            return arr[beta: beta + climit + 1]
     else:
-        if target.elements[0] < 1 or lo < 1:
-            raise ValueError("multiplicative search needs a positive target and window")
-        head, pool, c_min = (), [d for d in range(1, max_b_elem + 1) if mask[d::d].any()], 1
+        head, pool = (), [d for d in range(1, max_b_elem + 1) if divides(d)]
 
         def shrunk(maxb):
             return lo * maxb, hi // maxb
-
-        def view(arr, beta, climit):
-            return arr[::beta][: climit + 1]
 
     accepted: list[DecompositionCandidate] = []
     for size in range(2, max_b_size + 1):
@@ -280,26 +306,103 @@ def decompose_search(
             edge, climit = shrunk(b[-1])
             if climit < c_min:
                 continue
-            ok = view(allowed, b[0], climit).copy()
-            for beta in b[1:]:
-                ok &= view(allowed, beta, climit)
-            ok[:c_min] = False
-            if np.count_nonzero(ok) < 2:
+            c = complement(b, climit)
+            if c is None:
                 continue
             cover_lo, cover_hi = (lo, hi) if full_window else (edge, climit)
-            if cover_lo <= cover_hi:
-                covered = np.zeros(hi + 1, dtype=bool)
-                for beta in b:
-                    hit = view(covered, beta, climit)
-                    hit |= ok
-                seg = slice(cover_lo, cover_hi + 1)
-                if np.any(mask[seg] & ~covered[seg]):
-                    continue
-            accepted.append(DecompositionCandidate(
-                kind, b, IntegerSet.from_mask(ok, c_min, climit), (cover_lo, cover_hi)
-            ))
+            if cover_lo <= cover_hi and not covers(b, c, cover_lo, cover_hi):
+                continue
+            accepted.append(DecompositionCandidate(kind, b, as_set(c, climit),
+                                                   (cover_lo, cover_hi)))
     accepted.sort(key=lambda cand: cand.b)
     return accepted
+
+
+def _dense_path(target: IntegerSet, additive: bool, c_min: int):
+    """_search's steps on boolean masks over [0, hi]; c is a mask over
+    [0, climit], and the element c of view(arr, beta, climit) is
+    arr[beta (+|*) c]."""
+    import numpy as np
+    lo, hi = target.window_lo, target.window_hi
+    mask = target.as_mask()
+    allowed = mask.copy()
+    allowed[:lo] = True  # combinations below the window are unconstrained
+
+    if additive:
+        def view(arr, beta, climit):
+            return arr[beta: beta + climit + 1]
+    else:
+        def view(arr, beta, climit):
+            return arr[::beta][: climit + 1]
+
+    def divides(d):
+        return mask[d::d].any()
+
+    def complement(b, climit):
+        ok = view(allowed, b[0], climit).copy()
+        for beta in b[1:]:
+            ok &= view(allowed, beta, climit)
+        ok[:c_min] = False
+        return ok if np.count_nonzero(ok) >= 2 else None
+
+    def covers(b, ok, cover_lo, cover_hi):
+        covered = np.zeros(hi + 1, dtype=bool)
+        for beta in b:
+            hit = view(covered, beta, len(ok) - 1)
+            hit |= ok
+        seg = slice(cover_lo, cover_hi + 1)
+        return not np.any(mask[seg] & ~covered[seg])
+
+    def as_set(ok, climit):
+        return IntegerSet.from_mask(ok, c_min, climit)
+
+    return divides, complement, covers, as_set
+
+
+def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
+    """_search's steps on the target's elements; c is a Python set.
+
+    allowed is the target plus [c_min, lo - 1], the images free below the
+    window, and c(b) is the intersection over beta in b of
+    S_beta = {c : beta (+|*) c in allowed}, which lies in
+    [c_min, hi (-|//) beta], so c(b) needs no cut to [c_min, climit].
+    Additive: S_0 = allowed and S_beta is allowed shifted down by beta, so
+    c(b) is allowed filtered by c + beta in allowed, and no S_beta is
+    stored.  Multiplicative: S_beta, the quotients by beta, shrinks as beta
+    grows and is kept per beta.
+    """
+    lo, elems = target.window_lo, target.elements
+    allowed = set(elems).union(range(c_min, lo))
+    quotients: dict[int, set[int]] = {}
+
+    def divides(d):
+        return any(t % d == 0 for t in elems)
+
+    def part(beta):
+        if beta not in quotients:
+            quotients[beta] = {a // beta for a in allowed if a % beta == 0}
+        return quotients[beta]
+
+    def complement(b, climit):
+        if additive:
+            c = allowed
+            for beta in b[:0:-1]:
+                c = {x for x in c if x + beta in allowed}
+        else:
+            c = part(b[0]).intersection(*map(part, b[1:]))  # walks the smaller side
+        return c if len(c) >= 2 else None
+
+    def covers(b, c, cover_lo, cover_hi):
+        # stops at the first target element left uncovered
+        ts = elems[bisect_left(elems, cover_lo): bisect_right(elems, cover_hi)]
+        if additive:
+            return all(any(t - beta in c for beta in b) for t in ts)
+        return all(any(t % beta == 0 and t // beta in c for beta in b) for t in ts)
+
+    def as_set(c, climit):
+        return IntegerSet(array("Q", sorted(c)), c_min, climit)
+
+    return divides, complement, covers, as_set
 
 
 COVER_OFFSETS = (0, 1, 3, 5)

@@ -131,10 +131,12 @@ def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, 
         ok[: max(2 - a, 0)] = False
     idx = np.flatnonzero(ok)
     if consecutive and len(t.offsets) >= 2 and len(idx):
-        # primes in [s, s + i], so a pattern's inner primes are a difference
-        counts = np.cumsum(prime, dtype=np.int64)
+        # the window's primes, so a pattern's inner primes are a difference
+        # of ranks: memory goes with the primes, not with the window
+        where = np.flatnonzero(prime)
         n = idx + (a - s)
-        inner = counts[n + t.offsets[-1] - 1] - counts[n + t.offsets[0]]
+        inner = (np.searchsorted(where, n + t.offsets[-1])
+                 - np.searchsorted(where, n + t.offsets[0], side="right"))
         idx = idx[inner == len(t.offsets) - 2]
     return (idx + a).tolist()
 

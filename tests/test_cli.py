@@ -425,6 +425,7 @@ NUMPY_FREE = [
     ["two-term", "--t2", "4", "--t1", "8", "--n", "3", "--c=-3099127716", "--cap", "49"],
     ["semigroup", "list", "--gamma", "2,7", "--limit", "1000"],
     ["verify-exception", "--limit", "1048576"],
+    ["mprim-scan", "--gamma", "2", "--k", "3", "--le", "--limit", "100000"],
 ]
 
 

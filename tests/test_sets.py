@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -274,6 +275,40 @@ def test_decompose_multiplicative_matches_oracle():
             assert all(c.verify(target) for c in found)
             accepted[full] += len(found)
     assert all(accepted)  # both modes accept some parts
+
+
+def test_sparse_path_equals_dense_path():
+    rng = random.Random(20201126)
+    accepted = Counter()
+    for _ in range(160):
+        kind = rng.choice(("additive", "multiplicative"))
+        lo = rng.choice((1, 2, 5, 10, 1000))
+        hi = lo + rng.choice((60, 400, 10**4))
+        if rng.random() < 0.5:
+            values = rng.sample(range(lo, hi + 1), rng.randrange(1, 50))
+        else:  # B (+|*) C, so that some parts are accepted
+            b = rng.sample(range(1, 9), rng.randrange(1, 3))
+            if kind == "additive":
+                b.append(0)
+                c = rng.sample(range(lo, hi - max(b) + 1), rng.randrange(2, 40))
+                values = [x + y for x in b for y in c]
+            else:
+                c = rng.sample(range(1, hi // max(b) + 1), min(hi // max(b), rng.randrange(2, 40)))
+                values = [x * y for x in b for y in c if x * y >= lo] or [hi]
+        target = IntegerSet.from_values(values, lo, hi)
+        for full in (False, True):
+            found = [sets._search(target, kind, 3, 8, full, path)
+                     for path in (sets._dense_path, sets._sparse_path)]
+            dense, sparse = ([(c.b, tuple(c.c.elements), c.c.window_lo, c.c.window_hi,
+                               c.coverage_window) for c in cands] for cands in found)
+            assert sparse == dense, (kind, tuple(target), lo, hi, full)
+            assert all(c.verify(target) for c in found[1])
+            if hi <= 500:
+                oracle = (additive_accepted_parts if kind == "additive"
+                          else multiplicative_accepted_parts)
+                assert [c[0] for c in sparse] == oracle(tuple(target), lo, hi, 3, 8, full)
+            accepted[kind, full] += len(sparse)
+    assert len(accepted) == 4 and all(accepted.values())  # every kind and mode accepts
 
 
 def test_decompose_matches_exhaustive_complement_search():

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import io
 import math
 import struct
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple
 
 from .sets import IntegerSet, ResourceLimitError, check_mask_budget
 
@@ -22,6 +26,10 @@ SEGMENT_BITS = 1 << 20  # odd numbers per sieve segment: 1 MiB of flags, 2**21 i
 _BASE_PRIME_LIMIT = 1 << 24  # largest base prime, so windows reach 2**48
 _DEFAULT_SIEVE_BUDGET = 1 << 31  # bytes of packed bits
 _SIEVE_MAGIC = b"PSV1"
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)  # pre-sieved: every segment starts from their pattern
+_WHEEL = 3 * 5 * 7 * 11 * 13  # odd numbers in one period of the pattern
+_NUMPY_PRIMES = 30000  # a segment struck with more base primes goes to numpy (M)
+_NUMPY_SEGMENTS = 50  # and so does every segment after a scan's first K
 
 
 def is_prime(n: int) -> bool:
@@ -108,52 +116,182 @@ class PrimeSieve:
         return cls(limit=limit, bits=bits)
 
 
+class PrimeWindow(NamedTuple):
+    """Primality over [start, start + size - 1] as packed bits in the `.psv`
+    layout: bit i of `bits` says whether start + i is prime."""
+
+    start: int
+    size: int
+    bits: int
+
+    def to_bytes(self) -> bytes:
+        return self.bits.to_bytes((self.size + 7) // 8, "little")
+
+    def mask(self) -> np.ndarray:
+        """Boolean primality array over the window."""
+        import numpy as np
+        packed = np.frombuffer(self.to_bytes(), dtype=np.uint8)
+        return np.unpackbits(packed, count=self.size, bitorder="little").view(bool)
+
+
 def _odd_sieve(hi: int):
-    """Sieve the odd base primes up to isqrt(hi) once, and return strike(s, e):
-    whether each odd number s, s + 2, ... <= e (s odd) is prime, crossed off
-    with the base primes p, p * p <= e.  Each prime's first odd multiple at or
-    above max(p * p, s), (max(p, ceil(s / p)) | 1) * p, is crossed off in one
-    array step for all of them; a Python loop then walks only the primes whose
-    next odd multiple still lies in the segment, those below about (e - s) / 2.
-    The prime 2 is left to the caller."""
-    import numpy as np
+    """Sieve the odd base primes up to isqrt(hi) once, and return two
+    crossings-off of one segment of odd numbers s, s + 2, ... <= e (s odd)
+    with the base primes p, p * p <= e.  flags(s, e) returns a bytearray
+    whose byte k is 1 when s + 2k is prime, padded with zeros to whole
+    words; it is one buffer, which the next call overwrites.
+    strike(s, e, struck=0) returns the same as an int, bit 2k for byte k.
+    A segment starts from a pattern with the multiples of 3, 5, 7, 11 and 13
+    crossed off; each larger p then crosses off its odd multiples from
+    max(p * p, s) in one slice assignment.
+
+    strike hands a segment to numpy when it needs more than M =
+    _NUMPY_PRIMES base primes, or once the scan has struck K =
+    _NUMPY_SEGMENTS segments before it (`struck`).  numpy crosses off every
+    first multiple in one array step, loops only over the primes that
+    strike the segment twice, and packs the bits.  Both give the same bits:
+    the pure loop spares a short scan numpy's import, numpy is faster per
+    segment.  A sweep (Python 3.11.7, numpy 2.4.6, 2 CPUs; importing numpy
+    140-170 ms), one segment in ms, pure / numpy:
+
+        height      10**8    10**9    10**10   10**11   10**12   10**13
+        base primes 1240     3403     9592     27292    78497    227646
+        2**14 ints  0.6/0.6  1.1/0.7  2.8/0.8  7.0/0.9  18/1.5   44/3.5
+        2**21 ints  5.9/4.0  7.2/5.8  12/10    22/23    56/51    75/46
+
+    `sieve` and `verify-thm1` from 0 cross over between 10**8 and 2 * 10**8
+    (54 and 100 segments): K = 50 keeps a scan's extra cost within about
+    one import.  A segment whose extra cost exceeds 2 * import / K, about
+    6 ms, goes to numpy at once; a scan's first windows, 2**14 integers,
+    reach that near 10**11: M = 30000, heights above 350377**2, about
+    1.2 * 10**11.  The prime 2 is left to the caller."""
     root = math.isqrt(hi)
     if root > _BASE_PRIME_LIMIT:
         raise ResourceLimitError(f"sieving up to {hi} needs base primes above the "
                                  f"{_BASE_PRIME_LIMIT} limit")
-    base = np.flatnonzero(sieve_window(3, root)) + 3  # ends at root < 3, an empty window
+    base = _base_primes(root)
+    most = min(SEGMENT_BITS, (hi + 1) // 2)  # odd numbers in the longest segment
+    pattern = bytearray(b"\1") * _WHEEL
+    for p in _WHEEL_PRIMES:  # byte k stands for 1 + 2k
+        pattern[p // 2:: p] = bytes(len(range(p // 2, _WHEEL, p)))
+    wheel = memoryview(bytes(pattern) * (most // _WHEEL + 2))  # sliced without a copy
+    zeros = bytearray(most)  # slice assignment copies any value but a bytearray first
+    first = bisect_right(base, _WHEEL_PRIMES[-1])  # the primes the pattern leaves
+    buf = bytearray()  # a segment's flags, reused: each call overwrites the last one's
 
-    def strike(s: int, e: int) -> np.ndarray:
+    def presieved(s: int, e: int) -> bytearray:
+        # padded with zeros to whole words, which crossing off past e keeps
+        nonlocal buf
         n = (e - s) // 2 + 1
-        ps = base[: int(np.searchsorted(base, math.isqrt(e), side="right"))]
-        # p's first odd multiple at or above max(p*p, s), as an offset; the next is p on
-        i = ((np.maximum(ps, -(-s // ps)) | 1) * ps - s) // 2
-        flags = np.ones(n, dtype=bool)
-        flags[i[i < n]] = False
-        twice = i + ps < n  # only these primes strike the segment again
-        for p, j in zip(ps[twice].tolist(), (i + ps)[twice].tolist()):
-            flags[j::p] = False
-        if s == 1:
-            flags[:1] = False
-        return flags
+        if len(buf) != -(-n // 4) * 4:
+            buf = bytearray(-(-n // 4) * 4)
+        at = (s // 2) % _WHEEL
+        buf[:n] = wheel[at: at + n]
+        buf[n:] = bytes(len(buf) - n)
+        if s <= _WHEEL_PRIMES[-1]:
+            for p in _WHEEL_PRIMES:
+                if s <= p <= e:
+                    buf[(p - s) // 2] = 1
+            if s == 1:
+                buf[0] = 0
+        return buf
 
-    return strike
+    def flags(s: int, e: int) -> bytearray:
+        out = presieved(s, e)
+        n = len(out)
+        top = bisect_right(base, math.isqrt(e))
+        mid = max(bisect_right(base, math.isqrt(s - 1)), first)  # p * p < s below
+        wide = min(max(bisect_right(base, n), first), mid)  # below, p may strike twice
+        for p in base[first: wide]:
+            i = -((s + p) >> 1) % p  # s + 2i is p's first odd multiple at or above s
+            out[i:: p] = zeros[: (n - 1 - i) // p + 1]
+        for p in base[wide: mid]:
+            i = -((s + p) >> 1) % p
+            if i < n:
+                out[i] = 0
+        for p in base[mid: top]:
+            i = (p * p - s) >> 1
+            out[i:: p] = zeros[: (n - 1 - i) // p + 1]
+        return out
+
+    def strike(s: int, e: int, struck: int = 0) -> int:
+        top = bisect_right(base, math.isqrt(e))
+        if top > _NUMPY_PRIMES or struck >= _NUMPY_SEGMENTS:
+            return _strike_numpy(presieved(s, e), s, base[first: top])
+        return _pack_odd(flags(s, e))
+
+    return flags, strike
+
+
+def _strike_numpy(flags: bytearray, s: int, primes: array) -> int:
+    """strike's numpy step: cross off the odd multiples of the primes in
+    flags, whose byte k stands for s + 2k, and pack them as bits.  Each
+    prime's first odd multiple at or above max(p * p, s) is
+    (max(p, ceil(s / p)) | 1) * p; all of them go in one array step, then
+    the primes whose next odd multiple still lies in the segment, those
+    below about 2 * len(flags), one slice at a time."""
+    import numpy as np
+    n = len(flags)
+    view = np.frombuffer(flags, dtype=np.uint8)
+    ps = np.frombuffer(primes, dtype=np.uint32).astype(np.int64)
+    i = -s // ps
+    np.negative(i, out=i)
+    np.maximum(i, ps, out=i)
+    i |= 1
+    i *= ps
+    i -= s
+    i >>= 1
+    view[i[i < n]] = 0
+    i += ps
+    twice = i < n  # only these primes strike the segment again
+    for p, j in zip(ps[twice].tolist(), i[twice].tolist()):
+        view[j:: p] = 0
+    # flags 4m..4m+3, bits 0, 8, 16, 24 of word m, times 2**24 + 2**18 +
+    # 2**12 + 2**6 land on bits 24, 26, 28, 30, and nothing else does
+    words = np.frombuffer(flags, dtype="<u4") * np.uint32(0x01041040)
+    words >>= 24
+    return int.from_bytes(words.astype(np.uint8).tobytes(), "little")
+
+
+def _base_primes(root: int) -> array:
+    """The odd primes up to root in one array('I'), sieved a segment at a
+    time.  Once it holds more than _NUMPY_PRIMES, the later ones serve only
+    segments that numpy strikes, so numpy lists them too."""
+    base = array("I")
+    if root >= 3:
+        flags, seg = _odd_sieve(root)[0], 2 * SEGMENT_BITS
+        for a in range(3, root + 1, seg):
+            e = min(a + seg - 1, root)
+            if len(base) > _NUMPY_PRIMES:  # only segments struck by numpy need these
+                import numpy as np
+                odd = np.flatnonzero(np.frombuffer(flags(a, e), dtype=np.uint8))
+                base.frombytes((2 * odd + a).astype(np.uint32).tobytes())
+            else:
+                base.extend(compress(range(a, e + 1, 2), flags(a, e)))
+    return base
+
+
+def _pack_odd(flags: bytearray) -> int:
+    """The odd flags as bits: bit 2k is set when flags[k] is.  flags[j::4]
+    puts flag 4i + j on bit 8i, so each is shifted by 2j."""
+    return (int.from_bytes(flags[0::4], "little") | int.from_bytes(flags[1::4], "little") << 2
+            | int.from_bytes(flags[2::4], "little") << 4
+            | int.from_bytes(flags[3::4], "little") << 6)
 
 
 def prime_windows(lo: int, hi: int, overlap: int = 0):
-    """Primality over [lo, hi] in windows: yields (start, prime), prime[i]
-    telling whether start + i is prime.  Each window repeats the last
-    `overlap` integers of the one before, so any overlap + 1 consecutive
-    integers lie in one window.  Its new integers start at 2**14, as lazy
-    scans often stop in the first window, and double up to one segment
-    (2 * SEGMENT_BITS), but are at least min(overlap, SEGMENT_BITS); a window
-    spans at most max(2 * SEGMENT_BITS, SEGMENT_BITS + overlap) integers."""
-    import numpy as np
+    """Primality over [lo, hi] in windows: yields PrimeWindows.  Each window
+    repeats the last `overlap` integers of the one before, so any
+    overlap + 1 consecutive integers lie in one window.  Its new integers
+    start at 2**14, as lazy scans often stop in the first window, and double
+    up to one segment (2 * SEGMENT_BITS), but are at least
+    min(overlap, SEGMENT_BITS); a window spans at most
+    max(2 * SEGMENT_BITS, SEGMENT_BITS + overlap) integers."""
     if lo < 0:
         raise ValueError(f"a prime scan needs lo >= 0, got {lo}")
     seg = 2 * SEGMENT_BITS  # integers per segment
     least, most = min(overlap, seg // 2), max(seg - overlap, seg // 2)
-    fresh, start, end, reach = 1 << 14, lo, lo + overlap - 1, -1
+    fresh, start, end, reach, struck = 1 << 14, lo, lo + overlap - 1, -1, 0
     while start <= hi:
         fresh = min(max(fresh, least), most)
         end = min(end + fresh, hi)
@@ -161,14 +299,14 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
             # base primes up to sqrt(4 * end): sieved again once end quadruples,
             # and refused only by a window that needs primes above the limit
             reach = min(4 * end, hi, max(end, _BASE_PRIME_LIMIT ** 2))
-            strike = _odd_sieve(reach)
-        prime = np.zeros(end - start + 1, dtype=bool)
+            strike = _odd_sieve(reach)[1]
+        bits = 0
         for a in range(start | 1, end + 1, seg):  # one segment of flags at a time
-            prime[a - start: a - start + seg: 2] = strike(a, min(a + seg - 1, end))
+            bits |= strike(a, min(a + seg - 1, end), struck) << (a - start)
+            struck += 1
         if start <= 2 <= end:
-            prime[2 - start] = True
-        yield start, prime
-        del prime  # the caller's alone now: not held while the next is sieved
+            bits |= 1 << (2 - start)
+        yield PrimeWindow(start, end - start + 1, bits)
         start = end - overlap + 1 if end < hi else hi + 1
         fresh *= 2
 
@@ -178,27 +316,26 @@ def sieve_window(lo: int, hi: int) -> np.ndarray:
     result is empty when lo > hi."""
     import numpy as np
     out = np.zeros(max(hi - lo + 1, 0), dtype=bool)
-    for s, prime in prime_windows(lo, hi):
-        out[s - lo: s - lo + len(prime)] = prime
-        del prime  # free before the next window is sieved
+    for w in prime_windows(lo, hi):
+        out[w.start - lo: w.start - lo + w.size] = w.mask()
     return out
 
 
 def sieve(limit: int) -> PrimeSieve:
-    """The prime scan's windows over [0, limit], packed; O(limit/8) bytes of
+    """The prime scan's windows over [0, limit], joined; O(limit/8) bytes of
     result bits plus one window of working space."""
-    import numpy as np
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if (limit + 8) // 8 > _DEFAULT_SIEVE_BUDGET:
         raise ResourceLimitError(f"sieve to {limit} exceeds the "
                                  f"{_DEFAULT_SIEVE_BUDGET}-byte budget")
-    # every window from 0 starts at a multiple of 8, so its bytes follow on
-    return PrimeSieve(limit, b"".join(np.packbits(prime, bitorder="little").tobytes()
-                                      for _, prime in prime_windows(0, limit)))
+    bits = io.BytesIO()
+    for w in prime_windows(0, limit):  # each starts at a multiple of 8: its bytes follow on
+        bits.write(w.to_bytes())
+    return PrimeSieve(limit, bits.getvalue())  # the buffer itself, not a copy of it
 
 
-_TRIAL_PRIMES = tuple(p for p in range(2, 1 << 10) if is_prime(p))
+_TRIAL_PRIMES = (2, *_base_primes(1 << 10))
 
 
 def _brent_rho(n: int) -> int:
@@ -365,9 +502,8 @@ def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
     check_mask_budget(limit)
     base = np.flatnonzero(sieve_window(0, math.isqrt(limit))).tolist()
     keep = np.zeros(limit + 1, dtype=bool)
-    for s, prime in prime_windows(0, limit):
-        keep[s: s + len(prime)] = _smooth_window(policy, s, prime, base)
-        del prime  # free before the next window is sieved
+    for w in prime_windows(0, limit):
+        keep[w.start: w.start + w.size] = _smooth_window(policy, w.start, w.mask(), base)
     keep[: 2 if policy.kind == "composites" else 1] = False  # 0, and 1 for composites
     return keep
 

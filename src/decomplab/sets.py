@@ -6,7 +6,6 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from functools import partial
 from itertools import combinations, starmap
 
 VALUE_CAP = 1 << 63
@@ -430,42 +429,39 @@ def verify_composite_decomposition(limit: int) -> CompositeCoverReport:
     n-5 (one of them is divisible by 3 and exceeds 3), so equality is exact on
     [9, limit] with no edge slack.
     """
-    import numpy as np
     if limit < 20:
         raise ValueError("limit must be at least 20")
-    from .arith import SEGMENT_BITS, prime_windows
+    from .arith import prime_windows
 
     halo = COVER_OFFSETS[-1]
-    # A and its cover for every window, in two rows as long as the longest A
-    span = min(limit + 1, max(2 * SEGMENT_BITS, SEGMENT_BITS + 2 * halo))
-    scratch = np.empty((2, span), dtype=bool)
-    windows = prime_windows(0, limit + halo, 2 * halo)
-    totals, first = np.zeros(3, dtype=np.int64), None
-    for counts, mismatch in starmap(partial(_cover_window, scratch), windows):
-        totals += counts
+    base = covered = composite = 0
+    first = None
+    for counts, mismatch in starmap(_cover_window, prime_windows(0, limit + halo, 2 * halo)):
+        base, covered, composite = base + counts[0], covered + counts[1], composite + counts[2]
         first = mismatch if first is None else first
-    return CompositeCoverReport(limit, first is None, first, *totals.tolist())
+    return CompositeCoverReport(limit, first is None, first, base, covered, composite)
 
 
-def _cover_window(scratch: np.ndarray, s: int, prime: np.ndarray):
-    """One window [s, e] of the cover walk, inverted in place: A on [s, e - 5]
-    covers [s + 5, e - 5].  Returns the counts there of A (from 1 in the first
-    window), the cover and the composites (from 9), and the first mismatch."""
-    import numpy as np
+def _cover_window(s: int, size: int, prime: int):
+    """One window [s, e] of the cover walk, on its prime bits: A on
+    [s, e - 5] covers [s + 5, e - 5].  Returns the counts there of A (from 1
+    in the first window), the cover and the composites (from 9), and the
+    first mismatch."""
     halo = COVER_OFFSETS[-1]
-    nonprime = np.logical_not(prime, out=prime)
-    size = len(nonprime) - halo
-    c0 = max(9 - s, halo)  # the cover is claimed on [9, limit]
-    base, covered = scratch[0, :size], scratch[1, :max(size - c0, 0)]
-    base[:] = nonprime[:size]
+    size -= halo  # A's bits: [s, e - 5]
+    ones = (1 << size) - 1
+    hit = prime
     for off in COVER_OFFSETS[1:]:
-        base &= nonprime[off: off + size]
-    covered[:] = False
+        hit |= prime >> off
+    base = (hit & ones) ^ ones  # none of n + offsets prime
+    covered = 0
     for off in COVER_OFFSETS:
-        covered |= base[c0 - off: size - off]
-    composite = nonprime[c0:size]
-    counts = (np.count_nonzero(base[halo if s else 1:]), np.count_nonzero(covered),
-              np.count_nonzero(composite))
-    covered ^= composite  # now the mismatches
-    mismatches = np.flatnonzero(covered)
-    return counts, (s + c0 + int(mismatches[0]) if len(mismatches) else None)
+        covered |= base << off
+    c0 = max(9 - s, halo)  # the cover is claimed on [9, limit]
+    claimed = ones >> c0 << c0
+    covered &= claimed
+    composite = (prime & claimed) ^ claimed
+    counts = ((base >> (halo if s else 1)).bit_count(), covered.bit_count(),
+              composite.bit_count())
+    mismatches = covered ^ composite
+    return counts, (s + (mismatches & -mismatches).bit_length() - 1 if mismatches else None)

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import starmap
+from itertools import accumulate, repeat, starmap
+from operator import add
 
 from .arith import is_composite, is_prime, prime_windows
 
@@ -118,27 +119,50 @@ def _constellation_scan(t, lo, hi, composite_center, consecutive):
     return starmap(window_hits, prime_windows(max(lo + u_lo, 0), hi + u_hi, u_hi - u_lo))
 
 
-def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, s, prime):
-    import numpy as np
-    # the n in [lo, hi] whose span lies in the window [s, s + len(prime) - 1]
+def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, s, size, prime):
+    # the n in [lo, hi] whose span lies in the window [s, s + size - 1]: bit i
+    # of ok stands for a + i
     a = max(lo, s - u_lo)
-    count = max(min(hi, s + len(prime) - 1 - u_hi) - a + 1, 0)
-    ok = np.ones(count, dtype=bool)
+    count = min(hi, s + size - 1 - u_hi) - a + 1
+    if count <= 0:
+        return []
+    ok = (1 << count) - 1
     for u in t.offsets:
-        ok &= prime[a + u - s: a + u - s + count]
+        ok &= prime >> (a + u - s)
     if composite_center:
-        ok &= ~prime[a - s: a - s + count]
-        ok[: max(2 - a, 0)] = False
-    idx = np.flatnonzero(ok)
-    if consecutive and len(t.offsets) >= 2 and len(idx):
-        # the window's primes, so a pattern's inner primes are a difference
-        # of ranks: memory goes with the primes, not with the window
-        where = np.flatnonzero(prime)
-        n = idx + (a - s)
-        inner = (np.searchsorted(where, n + t.offsets[-1])
-                 - np.searchsorted(where, n + t.offsets[0], side="right"))
-        idx = idx[inner == len(t.offsets) - 2]
-    return (idx + a).tolist()
+        ok &= ~(prime >> (a - s)) & -1 << max(2 - a, 0)  # neither 0 nor 1 is composite
+    if consecutive:
+        # no prime strictly between the first and last pattern primes but the
+        # pattern's own; a candidate dies at the first foreign prime, so the
+        # walk stops once none is left
+        inner = set(t.offsets)
+        for v in range(t.offsets[0] + 1, t.offsets[-1]):
+            if not ok:
+                break
+            if v not in inner:
+                ok &= ~(prime >> (a + v - s))
+    return _set_bits(ok, a)
+
+
+_NONZERO = bytes([0] + [1] * 255)  # bytes.translate table: every nonzero byte to 1
+
+
+def _set_bits(bits: int, start: int) -> list[int]:
+    """start + i for every set bit i of bits, in increasing order.  The
+    nonzero bytes are found in C: the runs of zero bytes between them give
+    their indices, and deleting the zero bytes gives their values."""
+    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    runs = data.translate(_NONZERO).split(b"\1")[:-1]
+    at = accumulate(map(add, map(len, runs), repeat(1)), initial=-1)  # -1, then the indices
+    next(at)
+    hits = []
+    for j, byte in zip(at, data.translate(None, b"\0")):
+        base = start + 8 * j
+        if byte & (byte - 1):  # two or more bits
+            hits.extend(base + k for k in range(8) if byte >> k & 1)
+        else:
+            hits.append(base + byte.bit_length() - 1)
+    return hits
 
 
 @dataclass(frozen=True)

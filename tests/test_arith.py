@@ -169,25 +169,39 @@ def test_strike_one_full_segment_near_two_to_48():
     # or not at all, and the segment must not cost memory for each of them
     s = 2**48 + 1
     e = s + 2 * SEGMENT_BITS - 2
-    strike = arith._odd_sieve(e)
+    strike = arith._odd_sieve(e)[1]
     tracemalloc.start()
     try:
-        flags = strike(s, e)
+        bits = strike(s, e)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 40 << 20, peak / 2**20
-    assert len(flags) == SEGMENT_BITS
+    evens = int.from_bytes(b"\x55" * (SEGMENT_BITS // 4), "little")  # bit 2i: s + 2i
+    assert bits | evens == evens
     rng = random.Random(48)
     for i in [*range(2000), *range(SEGMENT_BITS - 2000, SEGMENT_BITS),
               *rng.sample(range(SEGMENT_BITS), 2000)]:
-        assert flags[i] == is_prime(s + 2 * i), i
+        assert (bits >> 2 * i) & 1 == is_prime(s + 2 * i), i
 
 
 def test_sieve_window_across_two_to_48():
     lo = 2**48 - 2000
     got = sieve_window(lo, 2**48 + 2000)
     assert got.tolist() == [is_prime(n) for n in range(lo, 2**48 + 2001)]
+
+
+def _window_text(w):
+    """A PrimeWindow's bits as text, character i "1" when w.start + i is
+    prime, checked against its mask."""
+    text = format(w.bits, "b").zfill(w.size)[::-1]
+    assert len(text) == w.size, (w.start, w.size)  # no bit past the window
+    assert np.array_equal(w.mask(), np.frombuffer(text.encode(), dtype=np.uint8) == ord("1"))
+    return text
+
+
+def _flags_text(flags):
+    return (np.asarray(flags, dtype=np.uint8) + ord("0")).tobytes().decode()
 
 
 def _check_prime_windows(lo, hi, overlap, want):
@@ -197,16 +211,16 @@ def _check_prime_windows(lo, hi, overlap, want):
     one window, and keeps each window's size in its bounds."""
     bits = arith.SEGMENT_BITS
     end, fresh = lo - 1, []
-    for s, prime in arith.prime_windows(lo, hi, overlap):
+    for w in arith.prime_windows(lo, hi, overlap):
+        s = w.start
         assert s == max(end - overlap + 1, lo), (lo, hi, overlap, s, end)
-        new = s + len(prime) - 1 - end
-        assert len(prime) <= max(2 * bits, bits + overlap)
-        assert new >= min(overlap, bits) or s + len(prime) - 1 == hi
-        fresh.append(prime[len(prime) - new:])
+        new = s + w.size - 1 - end
+        assert w.size <= max(2 * bits, bits + overlap)
+        assert new >= min(overlap, bits) or s + w.size - 1 == hi
+        fresh.append(_window_text(w)[w.size - new:])
         end += new
     assert end == max(hi, lo - 1)
-    got = np.concatenate(fresh) if fresh else np.zeros(0, dtype=bool)
-    assert np.array_equal(got, want), (lo, hi, overlap)
+    assert "".join(fresh) == _flags_text(want), (lo, hi, overlap)
 
 
 def test_prime_windows_small_segments(monkeypatch):
@@ -233,6 +247,26 @@ def test_prime_windows_real_segments():
     assert list(arith.prime_windows(10, 9)) == list(arith.prime_windows(10, 3, 5)) == []
 
 
+def test_kernel_modes_give_identical_bits_at_segment_edges(monkeypatch):
+    # the pure slice loop, numpy's one-step first multiples, and a scan that
+    # switches after its first two segments, each forced by the two limits
+    modes = {"pure": (math.inf, math.inf), "numpy": (0, 0), "switched": (math.inf, 2)}
+    seg = 2 * SEGMENT_BITS
+    cases = [(lo, lo + 2 * seg + 5, overlap) for lo in (0, 1, 2) for overlap in (0, seg + 7)]
+    cases += [(10**9 - seg - 3, 10**9 + seg + 3, 0), (2**48 - 2**15 - 3, 2**48 + 2**14, 0)]
+    for lo, hi, overlap in cases:
+        got = {}
+        for mode, (primes, segments) in modes.items():
+            monkeypatch.setattr(arith, "_NUMPY_PRIMES", primes)
+            monkeypatch.setattr(arith, "_NUMPY_SEGMENTS", segments)
+            got[mode] = list(arith.prime_windows(lo, hi, overlap))
+        assert got["pure"] == got["numpy"] == got["switched"], (lo, hi, overlap)
+        for w in got["pure"]:
+            text = _window_text(w)
+            for i in {*range(min(40, w.size)), *range(max(w.size - 40, 0), w.size)}:
+                assert text[i] == "01"[is_prime(w.start + i)], w.start + i
+
+
 def test_prime_windows_refuse_only_the_window_past_the_base_prime_limit(monkeypatch):
     # base primes up to 100: a window may end below 101**2, the next is refused
     monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
@@ -240,9 +274,9 @@ def test_prime_windows_refuse_only_the_window_past_the_base_prime_limit(monkeypa
     flags = prime_flags(101**2 + 100)
     ends = []
     with pytest.raises(ResourceLimitError, match="base primes"):
-        for s, prime in arith.prime_windows(3000, 10**6):
-            assert prime.tolist() == [bool(f) for f in flags[s: s + len(prime)]]
-            ends.append(s + len(prime) - 1)
+        for w in arith.prime_windows(3000, 10**6):
+            assert _window_text(w) == _flags_text(flags[w.start: w.start + w.size])
+            ends.append(w.start + w.size - 1)
     assert ends[-1] < 101**2 <= ends[-1] + 2 * arith.SEGMENT_BITS
 
 

@@ -8,6 +8,7 @@ import pytest
 from decomplab.arith import sieve
 from decomplab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
 from decomplab.sets import MASK_BUDGET
+from oracles import naive_constellation, naive_is_prime
 
 
 def run_json(capsys, argv):
@@ -253,6 +254,20 @@ def test_tuple_find(capsys):
     assert code == EXIT_INCONCLUSIVE and report["result"]["elements"] == []
 
 
+def test_tuple_find_consecutive_gapped_offsets(capsys):
+    # n + v must not be prime at each v strictly between the first and last
+    # offsets that is not in the pattern; a gap of 14 between consecutive
+    # primes first occurs at 113
+    for offsets in ((0, 2, 6), (-4, 2), (0, 14), (-6, 0, 6)):
+        for lo, hi in ((0, 3000), (10**6 - 1500, 10**6 + 1500)):
+            text = ",".join(map(str, offsets))
+            code, report = run_json(capsys, ["tuple", "find", f"--offsets={text}", "--window",
+                                             f"{lo},{hi}", "--consecutive"])
+            want = naive_constellation(offsets, lo, hi, naive_is_prime, consecutive=True)
+            assert report["result"]["elements"] == want, (offsets, lo)
+            assert code == (EXIT_OK if want else EXIT_INCONCLUSIVE)
+
+
 def test_witness_add(capsys):
     code, report = run_json(
         capsys, ["witness", "add", "--b", "0,2", "--n0", "9", "--limit", "100000"]
@@ -426,6 +441,10 @@ NUMPY_FREE = [
     ["semigroup", "list", "--gamma", "2,7", "--limit", "1000"],
     ["verify-exception", "--limit", "1048576"],
     ["mprim-scan", "--gamma", "2", "--k", "3", "--le", "--limit", "100000"],
+    ["tuple", "find", "--offsets=0,2,6", "--window", "1000000,1100000", "--consecutive"],
+    ["witness", "add", "--b", "0,2,5", "--n0", "24850656", "--limit", "2000000000"],
+    ["verify-thm1", "--limit", "1000000"],
+    ["sieve", "--limit", "100000"],
 ]
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import compress
 from typing import NamedTuple
 
-from .sets import IntegerSet, ResourceLimitError, check_mask_budget
+from . import sets
 
 MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
 _U64 = 1 << 64
@@ -167,8 +167,8 @@ def _odd_sieve(hi: int):
     1.2 * 10**11.  The prime 2 is left to the caller."""
     root = math.isqrt(hi)
     if root > _BASE_PRIME_LIMIT:
-        raise ResourceLimitError(f"sieving up to {hi} needs base primes above the "
-                                 f"{_BASE_PRIME_LIMIT} limit")
+        raise sets.ResourceLimitError(f"sieving up to {hi} needs base primes above the "
+                                      f"{_BASE_PRIME_LIMIT} limit")
     base = _base_primes(root)
     most = min(SEGMENT_BITS, (hi + 1) // 2)  # odd numbers in the longest segment
     pattern = bytearray(b"\1") * _WHEEL
@@ -327,8 +327,8 @@ def sieve(limit: int) -> PrimeSieve:
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if (limit + 8) // 8 > _DEFAULT_SIEVE_BUDGET:
-        raise ResourceLimitError(f"sieve to {limit} exceeds the "
-                                 f"{_DEFAULT_SIEVE_BUDGET}-byte budget")
+        raise sets.ResourceLimitError(f"sieve to {limit} exceeds the "
+                                      f"{_DEFAULT_SIEVE_BUDGET}-byte budget")
     bits = io.BytesIO()
     for w in prime_windows(0, limit):  # each starts at a multiple of 8: its bytes follow on
         bits.write(w.to_bytes())
@@ -499,7 +499,7 @@ def _smooth_window(policy: SmoothnessPolicy, s: int, prime: np.ndarray,
 def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
     """Smoothness over [0, limit] by windows: the mask plus one window of memory."""
     import numpy as np
-    check_mask_budget(limit)
+    sets.check_mask_budget(limit)
     base = np.flatnonzero(sieve_window(0, math.isqrt(limit))).tolist()
     keep = np.zeros(limit + 1, dtype=bool)
     for w in prime_windows(0, limit):
@@ -508,15 +508,15 @@ def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
     return keep
 
 
-def smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
+def smooth_set(policy: SmoothnessPolicy, limit: int) -> sets.IntegerSet:
     """The smooth integers in [1, limit] under the policy, window [1, limit]."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return IntegerSet.from_mask(_smooth_mask(policy, limit), 1, limit)
+    return sets.IntegerSet.from_mask(_smooth_mask(policy, limit), 1, limit)
 
 
-def shifted_smooth_set(policy: SmoothnessPolicy, limit: int) -> IntegerSet:
+def shifted_smooth_set(policy: SmoothnessPolicy, limit: int) -> sets.IntegerSet:
     """{m + 1 : m smooth, m + 1 <= limit}, window [1, limit]."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    return IntegerSet.from_mask(_smooth_mask(policy, limit - 1), 1, limit, start=1)
+    return sets.IntegerSet.from_mask(_smooth_mask(policy, limit - 1), 1, limit, start=1)

@@ -13,37 +13,8 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 
 from . import __version__
-from .arith import (
-    PrimeSieve,
-    SmoothnessPolicy,
-    shifted_smooth_set,
-    sieve,
-    sieve_window,
-    smooth_set,
-)
-from .mwitness import multiplicative_witness
-from .semigroup import (
-    GammaSemigroup,
-    SUnitEquation,
-    enumerate_semigroup,
-    h_family,
-    l_set,
-    mprimitivity_scan,
-    solve_sunit,
-    solve_two_term,
-    two_term_min_exponent_bound,
-    verify_exceptional_factorization,
-)
-from .sets import (
-    IntegerSet,
-    check_mask_budget,
-    decompose_search,
-    verify_composite_decomposition,
-)
-from .tuples import OffsetTuple, additive_witness, find_constellation, is_admissible, select_triple
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -103,6 +74,7 @@ def _elements_payload(values) -> dict:
 
 
 def _policy_from_args(args) -> SmoothnessPolicy:
+    from .arith import SmoothnessPolicy
     if args.policy == "composites":
         return SmoothnessPolicy.composites()
     if args.policy == "fixed":
@@ -115,6 +87,7 @@ def _policy_from_args(args) -> SmoothnessPolicy:
 
 
 def _cmd_sieve(args):
+    from .arith import PrimeSieve, sieve
     ps = PrimeSieve.load(args.cache) if args.cache and os.path.exists(args.cache) else None
     cache_used = ps is not None and ps.limit == args.limit
     if not cache_used:
@@ -132,6 +105,7 @@ def _cmd_sieve(args):
 
 
 def _cmd_smooth(args):
+    from .arith import shifted_smooth_set, smooth_set
     policy = _policy_from_args(args)
     builder = shifted_smooth_set if args.shift else smooth_set
     values = builder(policy, args.limit)
@@ -144,23 +118,27 @@ def _cmd_smooth(args):
 
 
 def _cmd_verify_thm1(args):
+    from .sets import verify_composite_decomposition
     report = verify_composite_decomposition(args.limit)
     return (EXIT_OK if report.passed else EXIT_FAIL), report.to_json_dict(), []
 
 
 def _cmd_tuple_admissible(args):
+    from .tuples import OffsetTuple, is_admissible
     t = OffsetTuple.of(_parse_int_list(args.offsets, "--offsets"))
     ok = is_admissible(t)
     return (EXIT_OK if ok else EXIT_FAIL), {"offsets": list(t.offsets), "admissible": ok}, []
 
 
 def _cmd_tuple_select(args):
+    from .tuples import select_triple
     t, case = select_triple(args.b2, args.b3)
     result = {"b2": args.b2, "b3": args.b3, "case": case, "offsets": list(t.offsets)}
     return EXIT_OK, result, []
 
 
 def _cmd_tuple_find(args):
+    from .tuples import OffsetTuple, find_constellation
     t = OffsetTuple.of(_parse_int_list(args.offsets, "--offsets"))
     lo, hi = _parse_window(args.window)
     hits = find_constellation(
@@ -179,6 +157,7 @@ def _cmd_tuple_find(args):
 
 
 def _cmd_witness_add(args):
+    from .tuples import additive_witness
     b = _parse_int_list(args.b, "--b")
     witness = additive_witness(b, args.n0, args.limit)
     if witness is None:
@@ -187,6 +166,7 @@ def _cmd_witness_add(args):
 
 
 def _cmd_witness_mul(args):
+    from .mwitness import multiplicative_witness
     b = _parse_int_list(args.b, "--b")
     witness = multiplicative_witness(b, args.n0, args.t_hi)
     if witness is None:
@@ -195,6 +175,7 @@ def _cmd_witness_mul(args):
 
 
 def _cmd_semigroup_list(args):
+    from .semigroup import GammaSemigroup, enumerate_semigroup
     g = GammaSemigroup.of(_parse_int_list(args.gamma, "--gamma"))
     values = enumerate_semigroup(g, args.limit)
     result = {"generators": list(g.generators), "limit": args.limit}
@@ -203,6 +184,7 @@ def _cmd_semigroup_list(args):
 
 
 def _cmd_hk(args):
+    from .semigroup import GammaSemigroup, h_family
     g = GammaSemigroup.of(_parse_int_list(args.gamma, "--gamma"))
     values = h_family(g, args.k, args.limit, cumulative=args.le)
     result = {
@@ -216,6 +198,7 @@ def _cmd_hk(args):
 
 
 def _cmd_verify_exception(args):
+    from .semigroup import verify_exceptional_factorization
     report = verify_exceptional_factorization(args.limit)
     return (EXIT_OK if report.passed else EXIT_FAIL), report.to_json_dict(), []
 
@@ -230,6 +213,8 @@ def _candidate_payload(cand):
 
 
 def _cmd_decompose(args):
+    from .arith import sieve_window
+    from .sets import IntegerSet, check_mask_budget, decompose_search
     if args.target_file:
         target = IntegerSet.load_text(args.target_file)
         source = args.target_file
@@ -259,6 +244,9 @@ def _cmd_decompose(args):
 
 
 def _cmd_sunit(args):
+    from fractions import Fraction
+
+    from .semigroup import GammaSemigroup, SUnitEquation, solve_sunit
     try:
         coeffs = [Fraction(tok) for tok in args.coeffs.split(",") if tok.strip()]
     except (ValueError, ZeroDivisionError):
@@ -279,6 +267,7 @@ def _cmd_sunit(args):
 
 
 def _cmd_l_set(args):
+    from .semigroup import GammaSemigroup, l_set
     g = GammaSemigroup.of(_parse_int_list(args.gamma, "--gamma"))
     values = l_set(g, args.k, args.height, args.eps_height)
     result = {
@@ -292,6 +281,7 @@ def _cmd_l_set(args):
 
 
 def _cmd_two_term(args):
+    from .semigroup import solve_two_term, two_term_min_exponent_bound
     solutions = solve_two_term(args.t2, args.t1, args.n, args.c, args.cap)
     result = {
         "t2": args.t2,
@@ -307,6 +297,7 @@ def _cmd_two_term(args):
 
 
 def _cmd_mprim_scan(args):
+    from .semigroup import GammaSemigroup, mprimitivity_scan
     g = GammaSemigroup.of(_parse_int_list(args.gamma, "--gamma"))
     report = mprimitivity_scan(
         g, args.k, args.limit,

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 from operator import mul
 
@@ -143,6 +142,8 @@ class SUnitEquation:
 
     @classmethod
     def of(cls, coeffs, gamma: GammaSemigroup) -> "SUnitEquation":
+        from fractions import Fraction
+
         return cls(tuple(Fraction(c) for c in coeffs), gamma)
 
 

@@ -273,9 +273,10 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
             full_window: bool, path) -> list[DecompositionCandidate]:
     """decompose_search's loop over the parts b, on the given path.
 
-    The kind decides the parts b tried (0 plus a subset of 1..max_b_elem, or
-    a subset of the divisor pool), the least c, and shrunk(max b) =
-    (lo (+|*) max b, hi (-|//) max b), whose top bounds c.  The path,
+    The kind decides the parts b tried (0 plus a subset of
+    1..min(max_b_elem, hi), or a subset of the divisor pool up to the same
+    bound), the least c, and shrunk(max b) = (lo (+|*) max b,
+    hi (-|//) max b), whose top bounds c.  The path,
     path(target, additive, c_min), gives four steps: divides(d), whether d
     divides a target element; complement(b, climit), the c in
     [c_min, climit] whose every combination with b lands in the target or
@@ -287,13 +288,16 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
     additive = kind == "additive"
     c_min = 0 if additive else 1
     divides, complement, covers, as_set = path(target, additive, c_min)
+    # parts above hi are not tried: an additive one leaves climit < 0, and no
+    # d > hi divides a target element
+    top = min(max_b_elem, hi)
     if additive:
-        head, pool = (0,), range(1, max_b_elem + 1)
+        head, pool = (0,), range(1, top + 1)
 
         def shrunk(maxb):
             return lo + maxb, hi - maxb
     else:
-        head, pool = (), [d for d in range(1, max_b_elem + 1) if divides(d)]
+        head, pool = (), [d for d in range(1, top + 1) if divides(d)]
 
         def shrunk(maxb):
             return lo * maxb, hi // maxb

@@ -343,6 +343,37 @@ def test_decompose_target_file(tmp_path, capsys):
     assert [c["b"] for c in report["result"]["candidates"]] == [[0, 1], [0, 2]]
 
 
+def test_decompose_parts_stop_at_the_window_top(tmp_path):
+    # no part above the window's top hi can be accepted, so a --max-b-elem far
+    # past hi finds the same candidates as hi itself, in about the same time
+    # and memory: combinations() holds its whole pool, and 10**9 parts would
+    # not fit under the 3 GiB cap
+    import resource
+
+    from decomplab import IntegerSet
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+    sparse = tmp_path / "sparse.txt"
+    powers = [3**a for a in range(10)]
+    IntegerSet.from_values({x + y for x in powers for y in powers if x + y <= 20000},
+                           1, 20000).save_text(sparse)
+    for source, hi in ((["--composites", "--window", "1,100"], 100),
+                       (["--target-file", str(sparse)], 20000)):
+        for kind in ("additive", "multiplicative"):
+            found = []
+            for max_b_elem in (hi, 10**9):
+                argv = ["decompose", "--kind", kind, *source, "--max-b-size", "2",
+                        "--max-b-elem", str(max_b_elem), "--json"]
+                proc = subprocess.run([sys.executable, "-m", "decomplab", *argv],
+                                      capture_output=True, text=True, timeout=20,
+                                      preexec_fn=cap_address_space)
+                assert proc.returncode == EXIT_OK, proc.stderr
+                found.append(json.loads(proc.stdout)["result"]["candidates"])
+            assert found[0] and found[0] == found[1], (source, kind)
+
+
 def test_decompose_target_out_of_range_is_usage_error(tmp_path, capsys):
     path = tmp_path / "t.txt"
     for header, value, message in (("0 10", -1, "inside the window"),
@@ -480,6 +511,85 @@ def test_point_queries_start_without_numpy(tmp_path, capsys):
         assert (proc.returncode, proc.stderr) == (code, "")
         assert canonical(json.loads(proc.stdout)) == canonical(report)
         assert target.read_text() == written
+
+
+# the layers whose code each command runs, besides cli; a layer runs on first use
+LAYERS_RUN = [
+    (["tuple", "admissible", "--offsets=0,2,6"], {"tuples", "arith"}),
+    (["tuple", "select-triple", "--b2", "2", "--b3", "6"], {"tuples", "arith"}),
+    (["tuple", "find", "--offsets=0,2", "--window", "0,1000"], {"tuples", "arith"}),
+    (["witness", "add", "--b", "0,2", "--n0", "100"], {"tuples", "arith"}),
+    (["witness", "mul", "--b", "1,2", "--n0", "1", "--t-hi", "1000"], {"mwitness", "arith"}),
+    (["sieve", "--limit", "1000"], {"arith"}),
+    (["verify-thm1", "--limit", "1000"], {"arith", "sets"}),
+    (["smooth", "--policy", "composites", "--limit", "100"], {"arith", "sets"}),
+    (["decompose", "--kind", "additive", "--composites", "--window", "9,1000",
+      "--max-b-size", "2", "--max-b-elem", "5"], {"arith", "sets"}),
+    (["semigroup", "list", "--gamma", "2,3", "--limit", "100"], {"semigroup", "sets"}),
+    (["two-term", "--t2", "3", "--t1", "1", "--n", "2", "--c", "1", "--cap", "20"],
+     {"semigroup", "sets"}),
+    (["verify-exception", "--limit", "100"], {"semigroup", "sets"}),
+    (["sunit", "--coeffs", "1,1,-1", "--gamma", "2,3", "--height", "100"],
+     {"semigroup", "sets"}),
+    (["hk", "--gamma", "2,3", "--k", "2", "--limit", "100"], {"semigroup", "sets"}),
+    (["l-set", "--gamma", "2,3", "--k", "2", "--height", "100", "--eps-height", "10"],
+     {"semigroup", "sets"}),
+    (["mprim-scan", "--gamma", "2", "--k", "3", "--le", "--limit", "65536",
+      "--max-b-size", "2", "--max-b-elem", "2"], {"semigroup", "sets"}),
+]
+LAYERS = {"arith", "mwitness", "semigroup", "sets", "tuples"}
+
+# a fresh interpreter: imports decomplab.cli, runs argv (if any) through
+# cli.run, and reports which decomplab modules are registered and which ran
+_LOAD_STATE = (
+    "import contextlib, io, json, sys, types\n"
+    "import decomplab.cli\n"
+    "argv = json.loads(sys.argv[1])\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = decomplab.cli.run(argv + ['--json']) if argv else None\n"
+    "mods = {n[len('decomplab.'):]: m for n, m in sys.modules.items()\n"
+    "        if n.startswith('decomplab.')}\n"
+    "print(json.dumps([code, sorted(mods),\n"
+    "                  sorted(n for n, m in mods.items() if type(m) is types.ModuleType),\n"
+    "                  'fractions' in sys.modules]))\n"
+)
+
+
+def _load_state(argv):
+    proc = subprocess.run([sys.executable, "-c", _LOAD_STATE, json.dumps(argv)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_bare_cli_import_registers_every_layer_and_runs_none():
+    code, registered, ran, fractions = _load_state([])
+    assert set(registered) == LAYERS | {"cli"}
+    assert ran == ["cli"] and not fractions
+
+
+def test_each_command_runs_only_its_layers():
+    for argv, layers in LAYERS_RUN:
+        code, registered, ran, fractions = _load_state(argv)
+        assert code == EXIT_OK, argv
+        assert set(registered) == LAYERS | {"cli"}, argv
+        assert set(ran) == layers | {"cli"}, argv
+        assert fractions == (argv[0] == "sunit"), argv  # only S-unit equations load it
+
+
+def test_star_import_resolves_every_public_name():
+    script = (
+        "import json, types\n"
+        "import decomplab\n"
+        "from decomplab import *\n"
+        "names = decomplab.__all__\n"
+        "print(json.dumps([len(names), all(n in globals() for n in names),\n"
+        "                  all(not isinstance(globals()[n], types.ModuleType) for n in names)]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [48, True, True]
 
 
 def test_reader_closing_stdout_early_is_not_a_failure():

@@ -17,13 +17,13 @@ _EXPORTS = {
         "MAX_VALUE",
         "PrimeSieve",
         "SmoothnessPolicy",
+        "composite_bits",
         "factorize",
         "greatest_prime_factor",
         "is_composite",
         "is_prime",
         "shifted_smooth_set",
         "sieve",
-        "sieve_window",
         "smooth_set",
     ),
     "mwitness": (

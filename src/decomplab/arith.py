@@ -311,14 +311,25 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
         fresh *= 2
 
 
-def sieve_window(lo: int, hi: int) -> np.ndarray:
-    """Primality over [lo, hi]: element i tells whether lo + i is prime; the
-    result is empty when lo > hi."""
-    import numpy as np
-    out = np.zeros(max(hi - lo + 1, 0), dtype=bool)
+def _prime_bytes(lo: int, hi: int) -> bytes:
+    """Primality over [lo, hi] in the cache's layout, bit i of byte j for
+    lo + 8j + i: the prime scan's windows, joined once.  Every window but
+    the last holds a multiple of 8 integers (2**14 * 2**k up to
+    2 * SEGMENT_BITS), so each one's bytes follow on; O((hi - lo) / 8) bytes
+    of result plus one window of working space."""
+    out = io.BytesIO()
     for w in prime_windows(lo, hi):
-        out[w.start - lo: w.start - lo + w.size] = w.mask()
-    return out
+        out.write(w.to_bytes())
+    return out.getvalue()  # the buffer itself, not a copy of it
+
+
+def composite_bits(lo: int, hi: int) -> int:
+    """Compositeness over [lo, hi] as one int: bit i says whether lo + i is
+    composite.  It is the complement of the prime bits, less 0 and 1, which
+    are neither prime nor composite."""
+    bits = int.from_bytes(_prime_bytes(lo, hi), "little") ^ ((1 << (hi - lo + 1)) - 1)
+    below_two = max(2 - lo, 0)
+    return bits >> below_two << below_two
 
 
 def sieve(limit: int) -> PrimeSieve:
@@ -329,10 +340,7 @@ def sieve(limit: int) -> PrimeSieve:
     if (limit + 8) // 8 > _DEFAULT_SIEVE_BUDGET:
         raise sets.ResourceLimitError(f"sieve to {limit} exceeds the "
                                       f"{_DEFAULT_SIEVE_BUDGET}-byte budget")
-    bits = io.BytesIO()
-    for w in prime_windows(0, limit):  # each starts at a multiple of 8: its bytes follow on
-        bits.write(w.to_bytes())
-    return PrimeSieve(limit, bits.getvalue())  # the buffer itself, not a copy of it
+    return PrimeSieve(limit, _prime_bytes(0, limit))
 
 
 _TRIAL_PRIMES = (2, *_base_primes(1 << 10))
@@ -466,18 +474,14 @@ class SmoothnessPolicy:
             return np.maximum(self.factor * np.log(n), 2.0)
 
 
-def _smooth_window(policy: SmoothnessPolicy, s: int, prime: np.ndarray,
-                   base: list[int]) -> np.ndarray:
-    """keep[i]: whether s + i > 1 is smooth, given the window's primality and
-    the primes up to sqrt(end).  With y a bound on y(n) over the window,
-    dividing out the primes p <= min(y, sqrt(end)) and their powers leaves 1,
-    p+(n) > sqrt(end), or a number above y, so n is smooth iff max(largest p
-    divided out, rest) <= y(n).  The log threshold is taken only where that
-    maximum is at most y."""
+def _smooth_window(policy: SmoothnessPolicy, s: int, e: int, base: list[int]) -> np.ndarray:
+    """keep[i]: whether s + i > 1 is smooth under the fixed or log policy,
+    for s + i in [s, e], given the primes up to sqrt(e).  With y a bound on
+    y(n) over the window, dividing out the primes p <= min(y, sqrt(e)) and
+    their powers leaves 1, p+(n) > sqrt(e), or a number above y, so n is
+    smooth iff max(largest p divided out, rest) <= y(n).  The log threshold
+    is taken only where that maximum is at most y."""
     import numpy as np
-    if policy.kind == "composites":
-        return ~prime
-    e = s + len(prime) - 1
     # the unit of slack covers np.log failing to be monotone in the last bit
     y = policy.bound if policy.kind == "fixed" else policy.log_threshold(float(e)) + 1
     rem = np.arange(s, e + 1, dtype=np.int32)  # below 2**31 by the mask budget
@@ -497,26 +501,41 @@ def _smooth_window(policy: SmoothnessPolicy, s: int, prime: np.ndarray,
 
 
 def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
-    """Smoothness over [0, limit] by windows: the mask plus one window of memory."""
+    """Smoothness over [0, limit] under the fixed or log policy, by windows
+    of 2**14 integers doubling up to 2 * SEGMENT_BITS, as the prime scan
+    takes them: the mask plus one window of memory."""
     import numpy as np
-    sets.check_mask_budget(limit)
-    base = np.flatnonzero(sieve_window(0, math.isqrt(limit))).tolist()
+    base = [2, *_base_primes(math.isqrt(limit))] if limit >= 4 else []
     keep = np.zeros(limit + 1, dtype=bool)
-    for w in prime_windows(0, limit):
-        keep[w.start: w.start + w.size] = _smooth_window(policy, w.start, w.mask(), base)
-    keep[: 2 if policy.kind == "composites" else 1] = False  # 0, and 1 for composites
+    s, size = 0, 1 << 14
+    while s <= limit:
+        size = min(size, 2 * SEGMENT_BITS)
+        e = min(s + size - 1, limit)
+        keep[s: e + 1] = _smooth_window(policy, s, e, base)
+        s, size = e + 1, 2 * size
+    keep[0] = False
     return keep
+
+
+def _smooth_over(policy: SmoothnessPolicy, top: int, shift: int) -> sets.IntegerSet:
+    """{m + shift : m in [0, top] smooth}, on the window [1, top + shift].
+    Composites are the complement of the prime bits, in the bits form and
+    without numpy; the other policies fill a numpy mask."""
+    sets.check_mask_budget(top)
+    if policy.kind == "composites":
+        return sets.IntegerSet(composite_bits(1 - shift, top), 1, top + shift)
+    return sets.IntegerSet.from_mask(_smooth_mask(policy, top), 1, top + shift, start=shift)
 
 
 def smooth_set(policy: SmoothnessPolicy, limit: int) -> sets.IntegerSet:
     """The smooth integers in [1, limit] under the policy, window [1, limit]."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
-    return sets.IntegerSet.from_mask(_smooth_mask(policy, limit), 1, limit)
+    return _smooth_over(policy, limit, 0)
 
 
 def shifted_smooth_set(policy: SmoothnessPolicy, limit: int) -> sets.IntegerSet:
     """{m + 1 : m smooth, m + 1 <= limit}, window [1, limit]."""
     if limit < 2:
         raise ValueError("limit must be >= 2")
-    return sets.IntegerSet.from_mask(_smooth_mask(policy, limit - 1), 1, limit, start=1)
+    return _smooth_over(policy, limit - 1, 1)

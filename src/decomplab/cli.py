@@ -62,14 +62,19 @@ def _jsonable(obj):
 
 
 def _elements_payload(values) -> dict:
+    """Count, and the elements or, past _LIST_CAP of them, the first and last
+    20; values is a list or an IntegerSet, whose head and tail read only
+    their own elements."""
     payload = {"count": len(values)}
     # list(): a tuple or an array would not print as a list in the human report
     if len(values) <= _LIST_CAP:
         payload["elements"] = list(values)
     else:
         payload["elements_omitted"] = True
-        payload["head"] = list(values[:20])
-        payload["tail"] = list(values[-20:])
+        if isinstance(values, list):
+            payload["head"], payload["tail"] = values[:20], values[-20:]
+        else:
+            payload["head"], payload["tail"] = list(values.head(20)), list(values.tail(20))
     return payload
 
 
@@ -110,7 +115,7 @@ def _cmd_smooth(args):
     builder = shifted_smooth_set if args.shift else smooth_set
     values = builder(policy, args.limit)
     result = {"policy": policy.describe(), "limit": args.limit, "shifted": args.shift}
-    result.update(_elements_payload(values.elements))
+    result.update(_elements_payload(values))
     if args.out:
         values.save_text(args.out)
         result["out"] = args.out
@@ -179,7 +184,7 @@ def _cmd_semigroup_list(args):
     g = GammaSemigroup.of(_parse_int_list(args.gamma, "--gamma"))
     values = enumerate_semigroup(g, args.limit)
     result = {"generators": list(g.generators), "limit": args.limit}
-    result.update(_elements_payload(values.elements))
+    result.update(_elements_payload(values))
     return EXIT_OK, result, []
 
 
@@ -193,7 +198,7 @@ def _cmd_hk(args):
         "cumulative": args.le,
         "limit": args.limit,
     }
-    result.update(_elements_payload(values.elements))
+    result.update(_elements_payload(values))
     return EXIT_OK, result, []
 
 
@@ -208,12 +213,12 @@ def _candidate_payload(cand):
         "b": list(cand.b),
         "coverage_window": list(cand.coverage_window),
         "c_count": len(cand.c),
-        "c_head": list(cand.c.elements[:20]),
+        "c_head": list(cand.c.head(20)),
     }
 
 
 def _cmd_decompose(args):
-    from .arith import sieve_window
+    from .arith import composite_bits
     from .sets import IntegerSet, check_mask_budget, decompose_search
     if args.target_file:
         target = IntegerSet.load_text(args.target_file)
@@ -223,8 +228,8 @@ def _cmd_decompose(args):
             raise _UsageError("--composites needs --window LO,HI")
         lo, hi = _parse_window(args.window)
         check_mask_budget(hi)
-        start = max(lo, 2)
-        target = IntegerSet.from_mask(~sieve_window(start, hi), lo, hi, start)
+        # a window below 0 has no bits: IntegerSet refuses it as an invalid window
+        target = IntegerSet(composite_bits(max(lo, 0), hi), lo, hi)
         source = f"composites in [{lo}, {hi}]"
     else:
         raise _UsageError("decompose needs --target-file or --composites")
@@ -276,7 +281,7 @@ def _cmd_l_set(args):
         "height": args.height,
         "eps_height": args.eps_height,
     }
-    result.update(_elements_payload(values.elements))
+    result.update(_elements_payload(values))
     return EXIT_OK, result, []
 
 

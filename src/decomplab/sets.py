@@ -6,11 +6,13 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from itertools import combinations, starmap
+from itertools import combinations, compress, islice, starmap
+from operator import lt
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
 _FILL_SLICE = 1 << 20  # mask entries from_mask turns into elements at a time
+_WRITE_SLICE = 1 << 12  # elements save_text formats at a time
 
 
 class WindowError(ValueError):
@@ -41,7 +43,6 @@ def _check_range(elements, window_lo: int, window_hi: int) -> None:
             raise ValueError("elements must not exceed 2**63")
 
 
-@dataclass(frozen=True)
 class IntegerSet:
     """Sorted, deduplicated non-negative integers, asserted complete on
     [window_lo, window_hi].
@@ -49,29 +50,61 @@ class IntegerSet:
     The window records the truncation: membership is only meaningful inside
     it, and elements outside it are a construction error.
 
-    The elements are stored in one array('Q') and boxed into Python ints only
-    when read; slice() returns a tuple.  Any other sequence given to the
-    constructor is checked in full (strictly increasing, inside the window,
-    at most 2**63) and then converted.  An array('Q') is taken as sorted and
-    distinct, as from_mask, from_values, sumset and productset build it, and
-    only its ends are checked.  An IntegerSet is not hashable.
+    The elements have one of two forms, the array-or-bitmap choice of
+    Roaring bitmaps (Chambi, Lemire, Kaser and Godin, SPE 2016).  The array
+    form is one array('Q'), 8 bytes per element.  The bits form is one
+    Python int whose bit i stands for window_lo + i, 1 bit per integer of the
+    window: the prime scan's layout, taken by composite sets and by the
+    additive search's complements.  The bits form is the smaller above
+    density 1/64.  Both forms answer len, in, slice, head, tail, iteration,
+    as_mask and save_text alike, and two sets are equal when their windows
+    and elements are, whatever their forms.  `elements` is the array; a
+    bits-form set unpacks it anew on each read, so take count, head and tail
+    from len, head and tail.
+
+    The constructor takes an int as the bits form: IntegerSet(bits, lo, hi)
+    is {lo + i : bit i of bits is set}.  Any other sequence is checked in
+    full (strictly increasing, inside the window, at most 2**63) and then
+    converted.  An array('Q') is taken as sorted and distinct, as from_mask,
+    from_values, sumset and productset build it, and only its ends are
+    checked.  An IntegerSet is immutable and not hashable.
     """
 
-    elements: array
-    window_lo: int
-    window_hi: int
+    __slots__ = ("_data", "window_lo", "window_hi")
+    __hash__ = None
+
+    def __init__(self, elements, window_lo: int, window_hi: int):
+        object.__setattr__(self, "_data", elements)
+        object.__setattr__(self, "window_lo", window_lo)
+        object.__setattr__(self, "window_hi", window_hi)
+        self.__post_init__()
 
     def __post_init__(self):
-        elems = self.elements
-        _check_range(elems, self.window_lo, self.window_hi)
-        if isinstance(elems, array) and elems.typecode == "Q":
+        # the checks, apart from __init__: perfbench's tracer wraps this name
+        data, lo, hi = self._data, self.window_lo, self.window_hi
+        if type(data) is int:
+            if data < 0:
+                raise ValueError("bits must be >= 0")
+            _check_range((lo, lo + data.bit_length() - 1) if data else (), lo, hi)
+            return
+        _check_range(data, lo, hi)
+        if isinstance(data, array) and data.typecode == "Q":
             return
         prev = -1
-        for v in elems:
+        for v in data:
             if v <= prev:
                 raise ValueError("elements must be strictly increasing")
             prev = v
-        object.__setattr__(self, "elements", array("Q", elems))
+        object.__setattr__(self, "_data", array("Q", data))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntegerSet is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntegerSet is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
+        return IntegerSet, (self._data, self.window_lo, self.window_hi)
 
     @classmethod
     def from_values(cls, values, window_lo=None, window_hi=None) -> "IntegerSet":
@@ -83,28 +116,107 @@ class IntegerSet:
         _check_range(elems, lo, hi)
         return cls(array("Q", elems), lo, hi)
 
+    @property
+    def elements(self) -> array:
+        """The elements as one ascending array('Q')."""
+        data = self._data
+        return _unpack(data, self.window_lo) if type(data) is int else data
+
     def __len__(self):
-        return len(self.elements)
+        data = self._data
+        return data.bit_count() if type(data) is int else len(data)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, value):
-        i = bisect_left(self.elements, value)
-        return i < len(self.elements) and self.elements[i] == value
+        data = self._data
+        if type(data) is int:
+            return self.window_lo <= value <= self.window_hi and bool(
+                data >> (value - self.window_lo) & 1)
+        i = bisect_left(data, value)
+        return i < len(data) and data[i] == value
+
+    def __eq__(self, other):
+        if not isinstance(other, IntegerSet):
+            return NotImplemented
+        if (self.window_lo, self.window_hi) != (other.window_lo, other.window_hi):
+            return False
+        if type(self._data) is int and type(other._data) is int:
+            return self._data == other._data
+        return self.elements == other.elements
+
+    def __repr__(self):
+        return f"IntegerSet({self.elements!r}, {self.window_lo}, {self.window_hi})"
 
     def slice(self, lo: int, hi: int) -> tuple[int, ...]:
         """Elements in [lo, hi]."""
-        elems = self.elements
-        return tuple(elems[bisect_left(elems, lo): bisect_right(elems, hi)])
+        data = self._data
+        if type(data) is int:
+            lo, hi = max(lo, self.window_lo), min(hi, self.window_hi)
+            if lo > hi:
+                return ()
+            part = data >> (lo - self.window_lo) & ((1 << (hi - lo + 1)) - 1)
+            return tuple(_unpack(part, lo))
+        return tuple(data[bisect_left(data, lo): bisect_right(data, hi)])
+
+    def head(self, k: int) -> tuple[int, ...]:
+        """The k least elements (all of them if there are fewer)."""
+        data = self._data
+        if k <= 0:
+            return ()
+        if type(data) is not int:
+            return tuple(data[:k])
+        width = 64 * k  # the bits read grow fourfold until they hold k elements
+        while True:
+            part = data & ((1 << width) - 1)
+            if part.bit_count() >= k or width >= data.bit_length():
+                return tuple(_unpack(part, self.window_lo)[:k])
+            width *= 4
+
+    def tail(self, k: int) -> tuple[int, ...]:
+        """The k greatest elements (all of them if there are fewer)."""
+        data = self._data
+        if k <= 0:
+            return ()
+        if type(data) is not int:
+            return tuple(data[-k:])
+        width = 64 * k
+        while True:
+            cut = max(data.bit_length() - width, 0)
+            part = data >> cut
+            if part.bit_count() >= k or not cut:
+                return tuple(_unpack(part, self.window_lo + cut)[-k:])
+            width *= 4
+
+    def as_bits(self) -> int:
+        """Membership over [window_lo, window_hi] as one int: bit i stands
+        for window_lo + i.  The array form is packed through a bytearray of
+        one byte per window integer, so a window wider than MASK_BUDGET is
+        refused."""
+        data, lo = self._data, self.window_lo
+        if type(data) is int:
+            return data
+        check_mask_budget(self.window_hi - lo)
+        flags = bytearray(self.window_hi - lo + 1)
+        for v in data:
+            flags[v - lo] = 1
+        # flags[j::8] puts flag 8i + j on bit 8i, so each is shifted by j
+        return sum(int.from_bytes(flags[j::8], "little") << j for j in range(8))
 
     def as_mask(self) -> np.ndarray:
         """Dense membership mask over [0, window_hi]."""
         import numpy as np
         check_mask_budget(self.window_hi)
         mask = np.zeros(self.window_hi + 1, dtype=bool)
-        if self.elements:
-            mask[np.frombuffer(self.elements, dtype=np.uint64)] = True
+        data = self._data
+        if type(data) is int:
+            n = data.bit_length()
+            packed = np.frombuffer(data.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+            lo = self.window_lo
+            mask[lo: lo + n] = np.unpackbits(packed, count=n, bitorder="little").view(bool)
+        elif len(data):
+            mask[np.frombuffer(data, dtype=np.uint64)] = True
         return mask
 
     @classmethod
@@ -129,38 +241,70 @@ class IntegerSet:
 
     def save_text(self, path) -> None:
         """Text format: header "# window lo hi", then one integer per line."""
+        elems = self.elements
         with open(path, "w") as fh:
             fh.write(f"# window {self.window_lo} {self.window_hi}\n")
-            for v in self.elements:
-                fh.write(f"{v}\n")
+            for a in range(0, len(elems), _WRITE_SLICE):
+                part = tuple(elems[a: a + _WRITE_SLICE])
+                fh.write("%d\n" * len(part) % part)
 
     @classmethod
     def load_text(cls, path) -> "IntegerSet":
+        """Reads the text format straight into one array('Q').  Values that
+        do not strictly increase are sorted and deduplicated by from_values,
+        and so is a file with a value below 0 or past 2**64, which the array
+        cannot hold, so that it fails with from_values' ValueError."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 4 or header[0] != "#" or header[1] != "window":
                 raise ValueError(f"{path}: missing '# window lo hi' header")
             lo, hi = int(header[2]), int(header[3])
-            values = [int(line) for line in fh if line.strip()]
-        return cls.from_values(values, lo, hi)
+            values = array("Q")
+            try:
+                values.extend(map(int, filter(str.strip, fh)))
+            except OverflowError:
+                fh.seek(0)
+                fh.readline()
+                return cls.from_values(map(int, filter(str.strip, fh)), lo, hi)
+        if not all(map(lt, values, islice(values, 1, None))):
+            return cls.from_values(values, lo, hi)
+        return cls(values, lo, hi)
+
+
+_BIT_TABLES: list[bytes] = []  # table j maps a byte to its bit j; built on first use
+
+
+def _unpack(bits: int, start: int) -> array:
+    """{start + i : bit i of bits is set} as an ascending array('Q'): table j
+    spreads bit j of every byte of bits to its own byte, the eight results
+    interleave into one flag per integer, and compress keeps the integers
+    whose flag is set, at about 45 ns per integer the bits span."""
+    if not _BIT_TABLES:
+        _BIT_TABLES.extend(bytes(b >> j & 1 for b in range(256)) for j in range(8))
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    flags = bytearray(8 * len(raw))
+    for j, table in enumerate(_BIT_TABLES):
+        flags[j::8] = raw.translate(table)
+    return array("Q", compress(range(start, start + len(flags)), flags))
 
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
     """{x + y : x in b, y in c}, window [lo_b+lo_c, hi_b+hi_c]."""
-    if b.elements and c.elements and b.elements[-1] + c.elements[-1] > VALUE_CAP:
+    xs, ys = b.elements, c.elements
+    if xs and ys and xs[-1] + ys[-1] > VALUE_CAP:
         raise OverflowError("sum exceeds 2**63")
-    elems = array("Q", sorted({x + y for x in b.elements for y in c.elements}))
+    elems = array("Q", sorted({x + y for x in xs for y in ys}))
     return IntegerSet(elems, b.window_lo + c.window_lo, b.window_hi + c.window_hi)
 
 
 def productset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
     """{x * y : x in b, y in c}; every element of both parts must be >= 1."""
-    for part in (b, c):
-        if part.elements and part.elements[0] < 1:
-            raise ValueError("product sets need all elements >= 1")
-    if b.elements and c.elements and b.elements[-1] * c.elements[-1] > VALUE_CAP:
+    xs, ys = b.elements, c.elements
+    if (xs and xs[0] < 1) or (ys and ys[0] < 1):
+        raise ValueError("product sets need all elements >= 1")
+    if xs and ys and xs[-1] * ys[-1] > VALUE_CAP:
         raise OverflowError("product exceeds 2**63")
-    elems = array("Q", sorted({x * y for x in b.elements for y in c.elements}))
+    elems = array("Q", sorted({x * y for x in xs for y in ys}))
     return IntegerSet(elems, b.window_lo * c.window_lo, b.window_hi * c.window_hi)
 
 
@@ -235,18 +379,22 @@ def decompose_search(
     suppress truncation edge artifacts; full_window=True checks the whole
     window instead.
 
-    Two paths give the same candidates.  The dense path works on numpy masks
-    over [0, hi], so each b costs passes over the whole window.  The sparse
-    path works on the target's elements and never builds a mask or imports
-    numpy.  The sparse path is taken when 64 * (|target| + lo) <= hi: the
-    target and the free range below the window fill at most 1/64 of it.
-    The factor comes from timing both paths in process on one machine
-    (window / (|target| + lo) in brackets):
+    Two paths give the same candidates.  The dense path works over the
+    whole window [0, hi], so each b costs passes over all of it: additive
+    searches on ints of bits (no numpy), multiplicative ones on numpy masks.
+    The sparse path works on the target's elements and never builds a mask
+    or imports numpy.  The sparse path is taken when
+    64 * (|target| + lo) <= hi: the target and the free range below the
+    window fill at most 1/64 of it.  The factor comes from timing both paths
+    in process on one machine (window / (|target| + lo) in brackets):
       - sum families, as mprim-scan searches, favour the sparse path far
         below it: h_family {2,3,5}, k <= 3 at 1e5 [21] 6.2 s dense, 2.5 s
         sparse; at 1e6 [118] 34 s, 3.4 s; {3,5}, k <= 3 at 1e6 [2632]
         5.3 s, 0.19 s;
-      - random additive targets at 1e6 cross near it: [64] 0.27 s, 0.17 s;
+      - random additive targets at 1e6 (a uniform sample, lo = 0), parts
+        (max_b_size, max_b_elem) = (3, 16), cross near [256] on bits:
+        [64] 0.058 s, 0.15 s; [256] 0.029 s, 0.032 s; (4, 8) at [1024]
+        0.032 s, 0.008 s;
       - smooth sets, whose elements share many small divisors, cross only
         near [200]: the log policy at 4e5 [22] 0.36 s, 2.3 s; at 1e6 [66]
         0.91 s, 2.1 s; at 1e7 [288] 8.1 s, 4.9 s.
@@ -255,14 +403,14 @@ def decompose_search(
     Only parts with |b| <= max_b_size are visible: a decomposition whose both
     halves are large/infinite is invisible to this finite search.
     """
-    if not target.elements:
+    if not len(target):
         raise ValueError("target must be nonempty")
     if max_b_size < 2 or max_b_elem < 1:
         raise ValueError("need max_b_size >= 2 and max_b_elem >= 1")
     if kind not in ("additive", "multiplicative"):
         raise ValueError(f"unknown kind {kind!r}")
     lo, hi = target.window_lo, target.window_hi
-    if kind == "multiplicative" and (target.elements[0] < 1 or lo < 1):
+    if kind == "multiplicative" and (target.head(1)[0] < 1 or lo < 1):
         raise ValueError("multiplicative search needs a positive target and window")
     check_mask_budget(hi)
     path = _sparse_path if 64 * (len(target) + lo) <= hi else _dense_path
@@ -278,7 +426,8 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
     bound), the least c, and shrunk(max b) = (lo (+|*) max b,
     hi (-|//) max b), whose top bounds c.  The path,
     path(target, additive, c_min), gives four steps: divides(d), whether d
-    divides a target element; complement(b, climit), the c in
+    divides a target element (read by multiplicative searches only);
+    complement(b, climit), the c in
     [c_min, climit] whose every combination with b lands in the target or
     below the window, or None when there are fewer than two; covers(b, c,
     cover_lo, cover_hi), whether b (+|*) c holds every target element there;
@@ -322,21 +471,48 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
 
 
 def _dense_path(target: IntegerSet, additive: bool, c_min: int):
-    """_search's steps on boolean masks over [0, hi]; c is a mask over
+    """_search's steps over the whole window [0, hi].
+
+    Additive: on ints of bits, bit i standing for i.  allowed is the target
+    T plus [0, lo - 1], the images free below the window; c(b) is the AND of
+    allowed >> beta over beta in b, which lies in [0, climit]; b covers
+    [cover_lo, cover_hi] when T AND that window AND NOT the OR of c << beta
+    is 0; and c becomes a bits-form IntegerSet.  No numpy, and divides is
+    None: additive parts are not drawn from divisors.
+
+    Multiplicative: on numpy boolean masks over [0, hi]; c is a mask over
     [0, climit], and the element c of view(arr, beta, climit) is
-    arr[beta (+|*) c]."""
-    import numpy as np
+    arr[beta * c]."""
     lo, hi = target.window_lo, target.window_hi
+    if additive:
+        t = target.as_bits() << lo
+        allowed = t | ((1 << lo) - 1)
+
+        def complement(b, climit):
+            c = allowed  # b[0] = 0, and allowed >> max(b) ends c at climit
+            for beta in b[1:]:
+                c &= allowed >> beta
+            return c if c.bit_count() >= 2 else None
+
+        def covers(b, c, cover_lo, cover_hi):
+            cover = 0
+            for beta in b:
+                cover |= c << beta
+            window = ((1 << (cover_hi - cover_lo + 1)) - 1) << cover_lo
+            return not t & window & ~cover
+
+        def as_set(c, climit):
+            return IntegerSet(c, c_min, climit)
+
+        return None, complement, covers, as_set
+
+    import numpy as np
     mask = target.as_mask()
     allowed = mask.copy()
     allowed[:lo] = True  # combinations below the window are unconstrained
 
-    if additive:
-        def view(arr, beta, climit):
-            return arr[beta: beta + climit + 1]
-    else:
-        def view(arr, beta, climit):
-            return arr[::beta][: climit + 1]
+    def view(arr, beta, climit):
+        return arr[::beta][: climit + 1]
 
     def divides(d):
         return mask[d::d].any()

@@ -16,7 +16,6 @@ from decomplab import (
     is_prime,
     shifted_smooth_set,
     sieve,
-    sieve_window,
     smooth_set,
 )
 from decomplab.arith import SEGMENT_BITS
@@ -101,8 +100,15 @@ def test_resource_limits_refuse_before_allocating():
     with pytest.raises(ResourceLimitError, match="budget"):
         sieve(20_000_000_000)
     with pytest.raises(ResourceLimitError, match="base primes"):
-        sieve_window(1 << 60, (1 << 60) + 10)
+        next(arith.prime_windows(1 << 60, (1 << 60) + 10))
     assert issubclass(ResourceLimitError, MemoryError)
+
+
+def _scan_mask(lo, hi):
+    """Primality over [lo, hi] as one boolean array: the prime scan's
+    windows, joined; empty when lo > hi."""
+    return np.concatenate([np.zeros(0, dtype=bool),
+                           *(w.mask() for w in arith.prime_windows(lo, hi))])
 
 
 def _naive_bits(limit):
@@ -125,7 +131,7 @@ def test_sieve_bits_match_naive_packing():
 
 def test_sieve_window_matches_is_prime_across_segment_edges():
     top = 6 * SEGMENT_BITS + 3
-    window = sieve_window(0, top)
+    window = _scan_mask(0, top)
     assert np.array_equal(window, np.frombuffer(bytes(prime_flags(top)), dtype=bool))
     for k in range(1, 7):
         for n in range(k * SEGMENT_BITS - 3, k * SEGMENT_BITS + 4):
@@ -136,22 +142,22 @@ def test_sieve_window_matches_is_prime_across_segment_edges():
     # windows starting just below, at and past each edge
     for k in (1, 2, 3):
         for lo in (k * SEGMENT_BITS - 3, k * SEGMENT_BITS, k * SEGMENT_BITS + 3):
-            got = sieve_window(lo, lo + 2 * SEGMENT_BITS + 5)
+            got = _scan_mask(lo, lo + 2 * SEGMENT_BITS + 5)
             assert np.array_equal(got, window[lo: lo + 2 * SEGMENT_BITS + 6]), lo
 
 
 def test_sieve_window_low_starts():
     for lo in (0, 1, 2):
         for hi in range(lo - 1, 60):
-            got = sieve_window(lo, hi).tolist()
+            got = _scan_mask(lo, hi).tolist()
             assert got == [naive_is_prime(n) for n in range(lo, hi + 1)], (lo, hi)
     with pytest.raises(ValueError):
-        sieve_window(-1, 10)
+        next(arith.prime_windows(-1, 10))
 
 
 def test_sieve_window_near_one_billion():
     lo = 10**9 - 1000
-    got = sieve_window(lo, lo + 3000)
+    got = _scan_mask(lo, lo + 3000)
     assert got.tolist() == [is_prime(n) for n in range(lo, lo + 3001)]
 
 
@@ -160,7 +166,7 @@ def test_sieve_window_small_segments(monkeypatch):
     monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
     flags = prime_flags(3000)
     for lo, hi in ((0, 3000), (1, 47), (2, 16), (17, 33), (1000, 2999)):
-        assert sieve_window(lo, hi).tolist() == [bool(f) for f in flags[lo: hi + 1]]
+        assert _scan_mask(lo, hi).tolist() == [bool(f) for f in flags[lo: hi + 1]]
     assert sieve(3000).bits == _naive_bits(3000)
 
 
@@ -187,7 +193,7 @@ def test_strike_one_full_segment_near_two_to_48():
 
 def test_sieve_window_across_two_to_48():
     lo = 2**48 - 2000
-    got = sieve_window(lo, 2**48 + 2000)
+    got = _scan_mask(lo, 2**48 + 2000)
     assert got.tolist() == [is_prime(n) for n in range(lo, 2**48 + 2001)]
 
 
@@ -231,7 +237,7 @@ def test_prime_windows_small_segments(monkeypatch):
             for hi in (lo - 1, lo, 40, 3000):
                 for overlap in (0, 1, 5, 10, 3 * bits):  # 3 * bits is past a segment
                     _check_prime_windows(lo, hi, overlap, flags[lo: hi + 1])
-                assert np.array_equal(sieve_window(lo, hi), flags[lo: hi + 1])
+                assert np.array_equal(_scan_mask(lo, hi), flags[lo: hi + 1])
 
 
 def test_prime_windows_real_segments():
@@ -245,6 +251,34 @@ def test_prime_windows_real_segments():
     for overlap in (0, 10, 5000):
         _check_prime_windows(lo, lo + 3000, overlap, want)
     assert list(arith.prime_windows(10, 9)) == list(arith.prime_windows(10, 3, 5)) == []
+
+
+def _composite_text(lo, hi, flags):
+    return "".join("1" if n > 1 and not flags[n] else "0" for n in range(lo, hi + 1))
+
+
+def test_composite_bits_complement_the_prime_bits(monkeypatch):
+    # bit i is lo + i composite: 0 and 1 are not, and the joined windows'
+    # bytes follow on across every window edge, under small segments too
+    flags = prime_flags(3000)
+    for bits in (8, 16, SEGMENT_BITS):
+        monkeypatch.setattr(arith, "SEGMENT_BITS", bits)
+        for lo, hi in ((0, 0), (0, 1), (1, 1), (0, 2), (1, 47), (2, 16), (4, 4), (17, 33),
+                       (0, 3000), (1000, 2999)):
+            got = arith.composite_bits(lo, hi)
+            assert got.bit_length() <= hi - lo + 1, (bits, lo, hi)
+            text = format(got, "b").zfill(hi - lo + 1)[::-1]
+            assert text == _composite_text(lo, hi, flags), (bits, lo, hi)
+    monkeypatch.undo()
+    top = 2 * (2 * SEGMENT_BITS) + 40  # past two windows of the real scan, each edge inside
+    bits = arith.composite_bits(1, top)
+    assert bits == arith.composite_bits(0, top) >> 1
+    for edge in [2 * SEGMENT_BITS * k for k in (1, 2)] + SCAN_EDGES[:6]:
+        for n in range(edge - 5, edge + 6):
+            assert (bits >> (n - 1)) & 1 == is_composite(n), n
+    lo = 10**9 - 100
+    got = arith.composite_bits(lo, lo + 300)
+    assert [(got >> i) & 1 for i in range(301)] == [is_composite(n) for n in range(lo, lo + 301)]
 
 
 def test_kernel_modes_give_identical_bits_at_segment_edges(monkeypatch):
@@ -448,17 +482,22 @@ def test_log_threshold_is_taken_only_at_candidates(monkeypatch):
 
 
 def test_smooth_mask_memory_is_one_byte_per_integer(monkeypatch):
+    # the fixed and log masks take a byte per integer; composites take the
+    # complement of the prime bits, a bit per integer, and build no mask
     monkeypatch.setattr(arith, "SEGMENT_BITS", 1 << 12)
     limit = 10**6
-    for policy in (SmoothnessPolicy.composites(), SmoothnessPolicy.fixed_bound(140),
-                   SmoothnessPolicy.log_factor(2)):
+    for build, bound in ((lambda: smooth_set(SmoothnessPolicy.composites(), limit), limit // 2),
+                         (lambda: arith._smooth_mask(SmoothnessPolicy.fixed_bound(140), limit),
+                          2 * limit),
+                         (lambda: arith._smooth_mask(SmoothnessPolicy.log_factor(2), limit),
+                          2 * limit)):
         tracemalloc.start()
         try:
-            arith._smooth_mask(policy, limit)
+            build()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * limit, (policy, peak / limit)
+        assert peak < bound, (bound, peak / limit)
 
 
 def test_smooth_set_refused_at_the_mask_budget():

@@ -8,7 +8,7 @@ import pytest
 from decomplab.arith import sieve
 from decomplab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
 from decomplab.sets import MASK_BUDGET
-from oracles import naive_constellation, naive_is_prime
+from oracles import naive_constellation, naive_is_prime, prime_flags
 
 
 def run_json(capsys, argv):
@@ -197,6 +197,22 @@ def test_smooth_writes_text_format(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "# window 1 20"
     assert [int(x) for x in lines[1:]] == report["result"]["elements"]
+
+
+def test_composite_sets_report_and_write_every_element(tmp_path, capsys):
+    # past 10000 elements the report gives head and tail; --out lists all
+    limit = 30011
+    flags = prime_flags(limit)
+    composites = [n for n in range(4, limit + 1) if not flags[n]]
+    for shift, want in (([], composites), (["--shift"], [n + 1 for n in composites if n < limit])):
+        out = tmp_path / "composites.txt"
+        code, report = run_json(capsys, ["smooth", "--policy", "composites", "--limit",
+                                         str(limit), *shift, "--out", str(out)])
+        result = report["result"]
+        assert code == EXIT_OK and result["elements_omitted"] is True
+        assert (result["count"], result["head"], result["tail"]) == (len(want), want[:20],
+                                                                      want[-20:])
+        assert out.read_text() == f"# window 1 {limit}\n" + "".join(f"{n}\n" for n in want)
 
 
 def test_smooth_policy_flag_requirements(capsys):
@@ -459,7 +475,8 @@ def test_big_integers_become_strings(capsys):
     assert _jsonable(True) is True
 
 
-# one argv for each subcommand that builds no array; both witness mul branches
+# one argv for each subcommand that builds no array; both witness mul branches,
+# and composite sets, which are bits
 NUMPY_FREE = [
     ["sunit", "--coeffs=1,1,-4", "--gamma", "2,3,5", "--height", "100"],
     ["l-set", "--gamma", "2,3", "--k", "2", "--height", "100", "--eps-height", "10"],
@@ -476,6 +493,10 @@ NUMPY_FREE = [
     ["witness", "add", "--b", "0,2,5", "--n0", "24850656", "--limit", "2000000000"],
     ["verify-thm1", "--limit", "1000000"],
     ["sieve", "--limit", "100000"],
+    ["decompose", "--kind", "additive", "--composites", "--window", "9,20000",
+     "--max-b-size", "3", "--max-b-elem", "8"],
+    ["smooth", "--policy", "composites", "--limit", "200000"],
+    ["smooth", "--policy", "composites", "--limit", "200000", "--shift"],
 ]
 
 

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from collections import Counter
 
@@ -111,6 +113,115 @@ def test_text_roundtrip(tmp_path):
     bad.write_text("4\n6\n")
     with pytest.raises(ValueError):
         IntegerSet.load_text(bad)
+
+
+def test_load_text_reads_unsorted_files_and_refuses_values_past_the_array(tmp_path):
+    path = tmp_path / "t.txt"
+    # values that do not strictly increase are sorted and deduplicated
+    path.write_text("# window 2 20\n9\n\n4\n9\n20\n")
+    assert IntegerSet.load_text(path) == IntegerSet((4, 9, 20), 2, 20)
+    path.write_text("# window 0 5\n")
+    assert IntegerSet.load_text(path) == IntegerSet((), 0, 5)
+    # below 0 or past 2**64 the array cannot hold a value: a ValueError all
+    # the same when it comes first; between 2**63 and 2**64 the array holds
+    # it, and the window's checks refuse it
+    for lines, hi, message in (("-1\n3\n", 10, "inside the window"),
+                               (f"{1 << 64}\n3\n", 1 << 64, "exceed 2\\*\\*63"),
+                               (f"3\n{(1 << 63) + 1}\n", 1 << 64, "exceed 2\\*\\*63"),
+                               ("3\n11\n", 10, "inside the window")):
+        path.write_text(f"# window 0 {hi}\n{lines}")
+        with pytest.raises(ValueError, match=message):
+            IntegerSet.load_text(path)
+
+
+def _bits_of(values, lo):
+    return sum(1 << (v - lo) for v in values)
+
+
+BITS_WINDOWS = ((0, 0), (0, 70), (9, 9), (9, 200), (3, 1000),
+                (1 << 40, (1 << 40) + 300), ((1 << 63) - 100, 1 << 63))
+
+
+def test_bits_form_reads_like_the_array_form(tmp_path):
+    import numpy as np
+
+    rng = random.Random(64)
+    for lo, hi in BITS_WINDOWS:
+        for density in (0, 0.03, 0.5, 1):
+            values = [v for v in range(lo, hi + 1) if rng.random() < density]
+            bits = _bits_of(values, lo)
+            dense, sparse = IntegerSet(bits, lo, hi), IntegerSet(tuple(values), lo, hi)
+            assert dense == sparse and sparse == dense
+            assert dense != IntegerSet(bits, lo, hi + 1)
+            assert dense != IntegerSet(bits ^ 1, lo, hi)
+            assert len(dense) == len(values)
+            assert list(dense) == values and dense.elements == sparse.elements
+            for v in {lo - 1, lo, lo + 1, hi - 1, hi, hi + 1, *values[:3], *values[-3:]}:
+                assert (v in dense) == (v in sparse) == (v in values), v
+            for a, b in ((lo, hi), (lo - 5, lo + 3), (hi - 3, hi + 5), (lo + 10, lo + 5),
+                         (lo + 7, hi - 7), (hi + 1, hi + 9)):
+                assert dense.slice(a, b) == sparse.slice(a, b), (a, b)
+            for k in (0, 1, 2, 20, len(values), len(values) + 1):
+                want_head, want_tail = tuple(values[:k]), tuple(values[max(len(values) - k, 0):])
+                assert dense.head(k) == sparse.head(k) == want_head, k
+                assert dense.tail(k) == sparse.tail(k) == want_tail, k
+            assert dense.as_bits() == sparse.as_bits() == bits
+            if hi <= 1000:
+                assert np.array_equal(dense.as_mask(), sparse.as_mask())
+            dense.save_text(tmp_path / "dense.txt")
+            sparse.save_text(tmp_path / "sparse.txt")
+            text = (tmp_path / "dense.txt").read_bytes()
+            assert text == (tmp_path / "sparse.txt").read_bytes()
+            assert IntegerSet.load_text(tmp_path / "dense.txt") == dense
+    # the bits must lie in the window, and so under 2**63
+    with pytest.raises(ValueError):
+        IntegerSet(-1, 0, 5)
+    with pytest.raises(ValueError, match="inside the window"):
+        IntegerSet(1 << 6, 0, 5)
+    with pytest.raises(ValueError, match="exceed 2\\*\\*63"):
+        IntegerSet(2, 1 << 63, (1 << 63) + 1)
+    with pytest.raises(ValueError, match="invalid window"):
+        IntegerSet(0, 5, 4)
+    with pytest.raises(AttributeError):
+        dense.window_lo = 0
+    assert pickle.loads(pickle.dumps(dense)) == dense and copy.deepcopy(sparse) == sparse
+
+
+def test_bits_form_head_and_tail_across_wide_gaps():
+    # elements far apart at both ends, so head and tail widen their reads
+    # several times before they hold k elements
+    lo, hi = 5, (1 << 20) + 5
+    values = [lo, lo + 1000, *range(lo + 500000, lo + 500100), hi - 3000, hi]
+    dense = IntegerSet(_bits_of(values, lo), lo, hi)
+    for k in (1, 2, 3, 50, 104, 105):
+        assert dense.head(k) == tuple(values[:k]) and dense.tail(k) == tuple(values[-k:])
+
+
+def test_additive_bits_path_matches_oracle_at_window_edges():
+    # where the window's edges bite: lo = 0, one-point windows, parts past
+    # hi (climit < 0, so max_b_elem > hi tries no more), and the free range
+    # below a window far from 0; c is checked against its definition too
+    rng = random.Random(16)
+    accepted = 0
+    for lo, hi, rounds in ((0, 0, 2), (5, 5, 4), (0, 1, 4), (0, 12, 10), (3, 12, 10),
+                           (0, 40, 10), (7, 40, 10), (1000, 1006, 3)):
+        for _ in range(rounds):
+            values = [v for v in range(lo, hi + 1) if rng.random() < 0.75] or [hi]
+            tset = set(values)
+            target = IntegerSet(tuple(values), lo, hi)
+            for size, elem in ((2, hi + 5 if hi < 100 else 12), (3, 6), (4, 5)):
+                for full in (False, True):
+                    found = sets._search(target, "additive", size, elem, full, sets._dense_path)
+                    want = additive_accepted_parts(values, lo, hi, size, elem, full)
+                    assert [cand.b for cand in found] == want, (values, lo, hi, size, elem, full)
+                    for cand in found:
+                        climit = hi - cand.b[-1]
+                        c = [x for x in range(climit + 1)
+                             if all(x + beta in tset or x + beta < lo for beta in cand.b)]
+                        assert cand.c == IntegerSet(tuple(c), 0, climit), cand.b
+                        assert cand.verify(target)
+                    accepted += len(found)
+    assert accepted
 
 
 def test_sumset_examples():

@@ -6,7 +6,7 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from itertools import combinations, compress, islice, starmap
+from itertools import combinations, compress, count, islice, starmap
 from operator import lt
 
 VALUE_CAP = 1 << 63
@@ -55,7 +55,7 @@ class IntegerSet:
     form is one array('Q'), 8 bytes per element.  The bits form is one
     Python int whose bit i stands for window_lo + i, 1 bit per integer of the
     window: the prime scan's layout, taken by composite sets and by the
-    additive search's complements.  The bits form is the smaller above
+    dense searches' complements.  The bits form is the smaller above
     density 1/64.  Both forms answer len, in, slice, head, tail, iteration,
     as_mask and save_text alike, and two sets are equal when their windows
     and elements are, whatever their forms.  `elements` is the array; a
@@ -191,18 +191,13 @@ class IntegerSet:
 
     def as_bits(self) -> int:
         """Membership over [window_lo, window_hi] as one int: bit i stands
-        for window_lo + i.  The array form is packed through a bytearray of
-        one byte per window integer, so a window wider than MASK_BUDGET is
-        refused."""
+        for window_lo + i.  The array form is packed through one byte per
+        window integer, so a window wider than MASK_BUDGET is refused."""
         data, lo = self._data, self.window_lo
         if type(data) is int:
             return data
         check_mask_budget(self.window_hi - lo)
-        flags = bytearray(self.window_hi - lo + 1)
-        for v in data:
-            flags[v - lo] = 1
-        # flags[j::8] puts flag 8i + j on bit 8i, so each is shifted by j
-        return sum(int.from_bytes(flags[j::8], "little") << j for j in range(8))
+        return _pack(_flags(data, lo, self.window_hi - lo + 1))
 
     def as_mask(self) -> np.ndarray:
         """Dense membership mask over [0, window_hi]."""
@@ -274,18 +269,33 @@ class IntegerSet:
 _BIT_TABLES: list[bytes] = []  # table j maps a byte to its bit j; built on first use
 
 
-def _unpack(bits: int, start: int) -> array:
-    """{start + i : bit i of bits is set} as an ascending array('Q'): table j
-    spreads bit j of every byte of bits to its own byte, the eight results
-    interleave into one flag per integer, and compress keeps the integers
-    whose flag is set, at about 45 ns per integer the bits span."""
+def _flags(data, start: int, size: int) -> bytearray:
+    """At least size bytes, byte i 1 when start + i is an element of data: an
+    ascending array, or bits with bit i for start + i.  Table j spreads bit j
+    of every byte of the bits to a byte of its own."""
+    if type(data) is not int:
+        flags = bytearray(size)
+        for v in data:
+            flags[v - start] = 1
+        return flags
     if not _BIT_TABLES:
         _BIT_TABLES.extend(bytes(b >> j & 1 for b in range(256)) for j in range(8))
-    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    flags = bytearray(8 * len(raw))
+    raw = data.to_bytes((data.bit_length() + 7) // 8, "little")
+    flags = bytearray(max(size, 8 * len(raw)))
     for j, table in enumerate(_BIT_TABLES):
-        flags[j::8] = raw.translate(table)
-    return array("Q", compress(range(start, start + len(flags)), flags))
+        flags[j: 8 * len(raw): 8] = raw.translate(table)
+    return flags
+
+
+def _pack(flags) -> int:
+    """0/1 flags as bits: flags[j::8] puts flag 8i + j on bit 8i."""
+    return sum(int.from_bytes(flags[j::8], "little") << j for j in range(8))
+
+
+def _unpack(bits: int, start: int) -> array:
+    """{start + i : bit i of bits is set} as an ascending array('Q'), at
+    about 45 ns per integer the bits span."""
+    return array("Q", compress(count(start), _flags(bits, start, 0)))
 
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
@@ -379,25 +389,24 @@ def decompose_search(
     suppress truncation edge artifacts; full_window=True checks the whole
     window instead.
 
-    Two paths give the same candidates.  The dense path works over the
-    whole window [0, hi], so each b costs passes over all of it: additive
-    searches on ints of bits (no numpy), multiplicative ones on numpy masks.
-    The sparse path works on the target's elements and never builds a mask
-    or imports numpy.  The sparse path is taken when
-    64 * (|target| + lo) <= hi: the target and the free range below the
-    window fill at most 1/64 of it.  The factor comes from timing both paths
-    in process on one machine (window / (|target| + lo) in brackets):
-      - sum families, as mprim-scan searches, favour the sparse path far
-        below it: h_family {2,3,5}, k <= 3 at 1e5 [21] 6.2 s dense, 2.5 s
-        sparse; at 1e6 [118] 34 s, 3.4 s; {3,5}, k <= 3 at 1e6 [2632]
-        5.3 s, 0.19 s;
+    Two paths give the same candidates, and neither imports numpy.  The
+    dense path works over the whole window [0, hi], so each b costs passes
+    over all of it: additive searches on ints of bits, multiplicative ones
+    on one byte per integer and ints of those bytes.  The sparse path works
+    on the target's elements.  It is taken when 64 * (|target| + lo) <= hi:
+    the target and the free range below the window fill at most 1/64 of it.
+    The factor comes from timing both paths in process on one machine
+    (window / (|target| + lo) in brackets; dense, then sparse):
+      - sum families, as mprim-scan searches them with parts
+        (max_b_size, max_b_elem) = (3, 100), cross below it: h_family
+        {2,3,5}, k <= 3 at 1e5 [21] 1.5 s, 1.7 s; at 1e6 [118] 4.1 s,
+        2.4 s; {3,5}, k <= 3 at 1e6 [2632] 0.63 s, 0.15 s;
       - random additive targets at 1e6 (a uniform sample, lo = 0), parts
-        (max_b_size, max_b_elem) = (3, 16), cross near [256] on bits:
-        [64] 0.058 s, 0.15 s; [256] 0.029 s, 0.032 s; (4, 8) at [1024]
-        0.032 s, 0.008 s;
+        (3, 16), cross near [256]: [64] 0.058 s, 0.15 s; [256] 0.029 s,
+        0.032 s; (4, 8) at [1024] 0.032 s, 0.008 s;
       - smooth sets, whose elements share many small divisors, cross only
-        near [200]: the log policy at 4e5 [22] 0.36 s, 2.3 s; at 1e6 [66]
-        0.91 s, 2.1 s; at 1e7 [288] 8.1 s, 4.9 s.
+        near [288]: the log policy, parts (3, 20), at 4e5 [22] 0.18 s,
+        1.6 s; at 1e6 [66] 0.40 s, 1.4 s; at 1e7 [288] 4.2 s, 4.2 s.
     Either way a window above MASK_BUDGET is refused.
 
     Only parts with |b| <= max_b_size are visible: a decomposition whose both
@@ -477,12 +486,14 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
     T plus [0, lo - 1], the images free below the window; c(b) is the AND of
     allowed >> beta over beta in b, which lies in [0, climit]; b covers
     [cover_lo, cover_hi] when T AND that window AND NOT the OR of c << beta
-    is 0; and c becomes a bits-form IntegerSet.  No numpy, and divides is
-    None: additive parts are not drawn from divisors.
+    is 0; and c becomes a bits-form IntegerSet.  divides is None: additive
+    parts are not drawn from divisors.
 
-    Multiplicative: on numpy boolean masks over [0, hi]; c is a mask over
-    [0, climit], and the element c of view(arr, beta, climit) is
-    arr[beta * c]."""
+    Multiplicative: on flags, one byte per integer of [0, hi], so that
+    allowed[::beta] gathers the multiples of beta in one slice, and on ints
+    of those bytes.  allowed is T plus [1, lo - 1]; c(b) is the AND over
+    beta in b of q(beta), the int of allowed[::beta], which q(max b) ends at
+    climit; the cover ORs c into every beta-th byte.  No numpy either way."""
     lo, hi = target.window_lo, target.window_hi
     if additive:
         t = target.as_bits() << lo
@@ -506,34 +517,36 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
 
         return None, complement, covers, as_set
 
-    import numpy as np
-    mask = target.as_mask()
-    allowed = mask.copy()
-    allowed[:lo] = True  # combinations below the window are unconstrained
-
-    def view(arr, beta, climit):
-        return arr[::beta][: climit + 1]
+    flags = _flags(target._data, lo, hi - lo + 1)
+    # c_min = 1, and combinations below the window are unconstrained
+    tflags, allowed = bytes(lo) + flags, b"\0" + b"\1" * (lo - 1) + flags
+    quotients: dict[int, int] = {}  # q(d) for each d of the pool
 
     def divides(d):
-        return mask[d::d].any()
+        if 1 in tflags[d::d]:
+            quotients[d] = int.from_bytes(allowed[::d], "little")
+        return d in quotients
 
     def complement(b, climit):
-        ok = view(allowed, b[0], climit).copy()
-        for beta in b[1:]:
-            ok &= view(allowed, beta, climit)
-        ok[:c_min] = False
-        return ok if np.count_nonzero(ok) >= 2 else None
-
-    def covers(b, ok, cover_lo, cover_hi):
-        covered = np.zeros(hi + 1, dtype=bool)
+        c = -1
         for beta in b:
-            hit = view(covered, beta, len(ok) - 1)
-            hit |= ok
-        seg = slice(cover_lo, cover_hi + 1)
-        return not np.any(mask[seg] & ~covered[seg])
+            c &= quotients[beta]
+        return c if c & (c - 1) else None  # at least two bytes set
 
-    def as_set(ok, climit):
-        return IntegerSet.from_mask(ok, c_min, climit)
+    def covers(b, c, cover_lo, cover_hi):
+        cb = memoryview(c.to_bytes((c.bit_length() + 7) // 8, "little"))
+        cover = bytearray(cover_hi + 1)
+        for beta in b:
+            n = min(len(cb), cover_hi // beta + 1)  # beta * c for c < n lies in the cover
+            hit = cb[:n]
+            if beta != b[0]:
+                hit = (int.from_bytes(cover[: beta * n: beta], "little")
+                       | int.from_bytes(hit, "little")).to_bytes(n, "little")
+            cover[: beta * n: beta] = hit
+        return tflags.startswith(memoryview(cover)[cover_lo:], cover_lo)
+
+    def as_set(c, climit):
+        return IntegerSet(_pack(c.to_bytes(climit + 1, "little")[1:]), c_min, climit)
 
     return divides, complement, covers, as_set
 

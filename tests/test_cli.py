@@ -476,7 +476,7 @@ def test_big_integers_become_strings(capsys):
 
 
 # one argv for each subcommand that builds no array; both witness mul branches,
-# and composite sets, which are bits
+# composite sets, which are bits, and dense multiplicative searches on flags
 NUMPY_FREE = [
     ["sunit", "--coeffs=1,1,-4", "--gamma", "2,3,5", "--height", "100"],
     ["l-set", "--gamma", "2,3", "--k", "2", "--height", "100", "--eps-height", "10"],
@@ -495,6 +495,10 @@ NUMPY_FREE = [
     ["sieve", "--limit", "100000"],
     ["decompose", "--kind", "additive", "--composites", "--window", "9,20000",
      "--max-b-size", "3", "--max-b-elem", "8"],
+    ["decompose", "--kind", "multiplicative", "--composites", "--window", "9,20000",
+     "--max-b-size", "3", "--max-b-elem", "8"],
+    ["mprim-scan", "--gamma", "2,3,5", "--k", "3", "--le", "--limit", "100000",
+     "--max-b-elem", "40"],
     ["smooth", "--policy", "composites", "--limit", "200000"],
     ["smooth", "--policy", "composites", "--limit", "200000", "--shift"],
 ]

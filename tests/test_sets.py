@@ -224,6 +224,35 @@ def test_additive_bits_path_matches_oracle_at_window_edges():
     assert accepted
 
 
+def test_multiplicative_flags_path_matches_oracle_at_window_edges():
+    # the multiplicative twin of the test above, on bits- and array-form
+    # targets alike: one-point windows, parts past hi, lo = 1000 with its
+    # free range [1, 999], and c checked against its definition
+    rng = random.Random(17)
+    accepted = 0
+    for lo, hi, rounds in ((1, 1, 2), (5, 5, 4), (1, 2, 4), (1, 12, 10), (3, 12, 10),
+                           (1, 40, 10), (7, 40, 10), (1000, 1000, 2), (1000, 1006, 3)):
+        for _ in range(rounds):
+            values = [v for v in range(lo, hi + 1) if rng.random() < 0.75] or [hi]
+            tset = set(values)
+            targets = (IntegerSet(_bits_of(values, lo), lo, hi), IntegerSet(tuple(values), lo, hi))
+            for size, elem in ((2, hi + 5 if hi < 100 else 12), (3, 6), (4, 5)):
+                for full in (False, True):
+                    found, again = (sets._search(t, "multiplicative", size, elem, full,
+                                                 sets._dense_path) for t in targets)
+                    assert found == again, (values, lo, hi, size, elem, full)
+                    want = multiplicative_accepted_parts(values, lo, hi, size, elem, full)
+                    assert [cand.b for cand in found] == want, (values, lo, hi, size, elem, full)
+                    for cand in found:
+                        climit = hi // cand.b[-1]
+                        c = [x for x in range(1, climit + 1)
+                             if all(x * beta in tset or x * beta < lo for beta in cand.b)]
+                        assert cand.c == IntegerSet(tuple(c), 1, climit), cand.b
+                        assert cand.verify(targets[0])
+                    accepted += len(found)
+    assert accepted
+
+
 def test_sumset_examples():
     c = iset([9, 10])
     assert tuple(sumset(iset([0, 1, 3, 5]), c).elements) == (9, 10, 11, 12, 13, 14, 15)

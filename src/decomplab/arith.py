@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import io
 import math
+import re
 import struct
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from typing import NamedTuple
 
 from . import sets
@@ -26,10 +27,20 @@ SEGMENT_BITS = 1 << 20  # odd numbers per sieve segment: 1 MiB of flags, 2**21 i
 _BASE_PRIME_LIMIT = 1 << 24  # largest base prime, so windows reach 2**48
 _DEFAULT_SIEVE_BUDGET = 1 << 31  # bytes of packed bits
 _SIEVE_MAGIC = b"PSV1"
+_SLICE = 1 << 16  # bytes of a sieve's bits, or of smooth flags, handled at a time
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # pre-sieved: every segment starts from their pattern
 _WHEEL = 3 * 5 * 7 * 11 * 13  # odd numbers in one period of the pattern
 _NUMPY_PRIMES = 30000  # a segment struck with more base primes goes to numpy (M)
 _NUMPY_SEGMENTS = 50  # and so does every segment after a scan's first K
+# translate tables of the smooth flags: a set source byte makes j * p smooth
+# (_KEEP) or, below cut_p, only a source for larger n (_LATE)
+_KEEP, _LATE = b"\0" + b"\1" * 255, b"\0" + b"\2" * 255
+_ONLY_ONE, _NOT = b"\0\1" + bytes(254), b"\1" + bytes(255)
+# _complement_is_cheaper's costs, in bytes the closure copies: fitted to both
+# paths at 10**6 and 10**7 integers (Python 3.11.7, 2 CPUs)
+_SLICE_BYTES = 1000  # one slice of the closure
+_CLEAR_BYTES = 2.7  # one byte cleared through a window
+_MERTENS = 0.2615  # Sum_{p <= x} 1 / p = ln ln x + M + o(1)
 
 
 def is_prime(n: int) -> bool:
@@ -74,7 +85,9 @@ class PrimeSieve:
         return bool((self.bits[n >> 3] >> (n & 7)) & 1)
 
     def count(self) -> int:
-        return int.from_bytes(self.bits, "little").bit_count()
+        view = memoryview(self.bits)
+        return sum(int.from_bytes(view[a: a + _SLICE], "little").bit_count()
+                   for a in range(0, len(view), _SLICE))
 
     def mask(self) -> np.ndarray:
         """Boolean primality array over [0, limit]."""
@@ -87,9 +100,15 @@ class PrimeSieve:
         return np.flatnonzero(self.mask())
 
     def largest_prime(self) -> int | None:
-        """The largest prime <= limit, read from the last nonzero byte."""
-        top = self.bits.rstrip(b"\0")
-        return 8 * (len(top) - 1) + top[-1].bit_length() - 1 if top else None
+        """The largest prime <= limit: the top set bit, searched for from
+        the end one slice at a time."""
+        view = memoryview(self.bits)
+        for end in range(len(view), 0, -_SLICE):
+            a = max(end - _SLICE, 0)
+            width = int.from_bytes(view[a: end], "little").bit_length()
+            if width:
+                return 8 * a + width - 1
+        return None
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -107,10 +126,12 @@ class PrimeSieve:
             if len(head) < 8:
                 raise ValueError(f"{path}: header cut short at {4 + len(head)} of 12 bytes")
             (limit,) = struct.unpack("<Q", head)
-            bits = fh.read()
-        expected = (limit + 8) // 8
-        if len(bits) != expected:
-            raise ValueError(f"{path}: expected {expected} bitset bytes, found {len(bits)}")
+            # the size first, so that a corrupt limit allocates nothing
+            expected, found = (limit + 8) // 8, fh.seek(0, io.SEEK_END) - 12
+            if found != expected:
+                raise ValueError(f"{path}: expected {expected} bitset bytes, found {found}")
+            fh.seek(12)
+            bits = fh.read(expected)
         if bits[-1] >> ((limit & 7) + 1):
             raise ValueError(f"{path}: padding bits past limit {limit} are set")
         return cls(limit=limit, bits=bits)
@@ -462,69 +483,96 @@ class SmoothnessPolicy:
         g = greatest_prime_factor(n)
         if self.kind == "fixed":
             return g <= self.bound
-        return bool(g <= self.log_threshold(float(n)))
+        return g <= self.log_threshold(float(n))
 
-    def log_threshold(self, n):
-        """max(factor * ln n, 2) for a float n or float array n.  is_smooth and
-        the bulk mask both take it from here, with numpy's log, because
-        math.log may differ from it in the last bit."""
-        import numpy as np
-        # ln 0 = -inf falls to the floor of 2; a product past the floats is inf
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.maximum(self.factor * np.log(n), 2.0)
+    def log_threshold(self, n: float) -> float:
+        """max(factor * ln n, 2) for n >= 1: the one definition of y(n) that
+        is_smooth and _smooth_flags share.  ln 1 = 0 falls to the floor of 2,
+        and a product past the floats is inf."""
+        return max(self.factor * math.log(n), 2.0)
 
 
-def _smooth_window(policy: SmoothnessPolicy, s: int, e: int, base: list[int]) -> np.ndarray:
-    """keep[i]: whether s + i > 1 is smooth under the fixed or log policy,
-    for s + i in [s, e], given the primes up to sqrt(e).  With y a bound on
-    y(n) over the window, dividing out the primes p <= min(y, sqrt(e)) and
-    their powers leaves 1, p+(n) > sqrt(e), or a number above y, so n is
-    smooth iff max(largest p divided out, rest) <= y(n).  The log threshold
-    is taken only where that maximum is at most y."""
-    import numpy as np
-    # the unit of slack covers np.log failing to be monotone in the last bit
-    y = policy.bound if policy.kind == "fixed" else policy.log_threshold(float(e)) + 1
-    rem = np.arange(s, e + 1, dtype=np.int32)  # below 2**31 by the mask budget
-    top = np.zeros_like(rem)  # the largest p divided out of each n
-    for p in base[: bisect_right(base, min(y, math.isqrt(e)))]:
-        top[-s % p:: p] = p
-        q = p
-        while q <= e:
-            rem[-s % q:: q] //= p
-            q *= p
-    most = np.maximum(top, rem)
-    keep = most <= y
-    if policy.kind == "log":
-        idx = np.flatnonzero(keep)
-        keep[idx] = most[idx] <= policy.log_threshold((idx + s).astype(np.float64))
-    return keep
+def _smooth_flags(policy: SmoothnessPolicy, top: int) -> bytearray:
+    """Byte n of the result, for n in [0, top], is 1 when n >= 1 is smooth
+    under the fixed or log policy and 0 otherwise.
+
+    y(n) is nondecreasing on the integers (below 2**28 consecutive logs
+    differ by about 1 / n, far more than an ulp), so a prime p <= y(top)
+    divides a smooth j * p exactly when j >= cut(p), the least j with
+    p <= y(j * p): 1 up to `free` (the fixed bound, or the primes with
+    y(p) >= p, a prefix as n / ln n increases for n >= 3), else bisected.
+    The closure builds the flags from g[1] = 1 through the primes up to
+    y(top) in increasing order: g[j * p] = g[j] for j <= top // p, in
+    ascending slices that end by s * p, so each source is final when read.
+    Every n > 1 is written once, from j = n / p+(n), as 1 when j >= cut(p),
+    else as 2 (a source only); Sum top / p bytes in all.  For large y the
+    complement, cheaper there, starts from every n smooth and clears
+    j * p for j < cut(p) at the primes in (free, y(top)], and all multiples
+    of the primes in (y(top), top] through the prime scan's windows."""
+    fixed = policy.kind == "fixed"
+    y = int(min(policy.bound if fixed else policy.log_threshold(float(top)), top))
+    free = y if fixed or y < 3 else 2 + bisect_left(
+        range(3, y + 1), True, key=lambda n: policy.log_threshold(float(n)) < n)
+
+    def cut(p: int) -> int:
+        return 1 if p <= free else 1 + bisect_left(
+            range(1, top // p + 1), p, key=lambda j: policy.log_threshold(float(j * p)))
+
+    if _complement_is_cheaper(top, y, free):
+        flags = bytearray(b"\1") * (top + 1)
+        flags[0] = 0
+        for w in prime_windows(free + 1, y):
+            for p in compress(count(w.start), sets._flags(w.bits, w.start, w.size)):
+                c = cut(p)
+                flags[p: (c - 1) * p + 1: p] = bytes(c - 1)
+        for w in prime_windows(y + 1, top):
+            keep = int.from_bytes(sets._flags(w.bits, w.start, w.size).translate(_NOT), "little")
+            for j in range(1, top // w.start + 1):
+                end = min(w.start + w.size - 1, top // j)
+                part = slice(j * w.start, j * end + 1, j)
+                flags[part] = (int.from_bytes(flags[part], "little") & keep).to_bytes(
+                    end - w.start + 1, "little")
+        return flags
+    flags = bytearray(top + 1)
+    flags[1] = 1
+    for p in [2, *_base_primes(y)] if y >= 2 else ():
+        c, s, jmax = cut(p), 1, top // p
+        while s <= jmax:
+            e = min(s * p, s + _SLICE, jmax + 1, c if s < c else jmax + 1)
+            flags[s * p: (e - 1) * p + 1: p] = flags[s: e].translate(_LATE if s < c else _KEEP)
+            s = e
+    if free < y:
+        for a in range(0, top + 1, _SLICE):
+            flags[a: a + _SLICE] = flags[a: a + _SLICE].translate(_ONLY_ONE)
+    return flags
 
 
-def _smooth_mask(policy: SmoothnessPolicy, limit: int) -> np.ndarray:
-    """Smoothness over [0, limit] under the fixed or log policy, by windows
-    of 2**14 integers doubling up to 2 * SEGMENT_BITS, as the prime scan
-    takes them: the mask plus one window of memory."""
-    import numpy as np
-    base = [2, *_base_primes(math.isqrt(limit))] if limit >= 4 else []
-    keep = np.zeros(limit + 1, dtype=bool)
-    s, size = 0, 1 << 14
-    while s <= limit:
-        size = min(size, 2 * SEGMENT_BITS)
-        e = min(s + size - 1, limit)
-        keep[s: e + 1] = _smooth_window(policy, s, e, base)
-        s, size = e + 1, 2 * size
-    keep[0] = False
-    return keep
+def _complement_is_cheaper(top: int, y: int, free: int) -> bool:
+    """Whether the complement costs less than the closure.  The closure
+    copies top * Sum_{p <= y} 1 / p bytes (Mertens) in pi(y) slices or more;
+    the complement sieves (y, top] and clears about top * ln(top / y) bytes
+    there, plus a slice per prime in (free, y]."""
+    if y < 3:
+        return False
+    closure = top * (math.log(math.log(y)) + _MERTENS) + _SLICE_BYTES * y / math.log(y)
+    complement = (_CLEAR_BYTES * top * math.log(top / y) + top - y
+                  + _SLICE_BYTES * (y / math.log(y) - free / math.log(free)))
+    return complement < closure
 
 
 def _smooth_over(policy: SmoothnessPolicy, top: int, shift: int) -> sets.IntegerSet:
     """{m + shift : m in [0, top] smooth}, on the window [1, top + shift].
-    Composites are the complement of the prime bits, in the bits form and
-    without numpy; the other policies fill a numpy mask."""
+    Composites are the complement of the prime bits; the other policies
+    come from _smooth_flags, as bits where they are denser than 1/64 and
+    the bits form is the smaller, else as an array."""
     sets.check_mask_budget(top)
     if policy.kind == "composites":
         return sets.IntegerSet(composite_bits(1 - shift, top), 1, top + shift)
-    return sets.IntegerSet.from_mask(_smooth_mask(policy, top), 1, top + shift, start=shift)
+    flags = _smooth_flags(policy, top)
+    if 64 * flags.count(1) > top:
+        return sets.IntegerSet(sets._pack(flags) << shift >> 1, 1, top + shift)
+    found = re.finditer(b"\1", flags)
+    return sets.IntegerSet(array("Q", (m.start() + shift for m in found)), 1, top + shift)
 
 
 def smooth_set(policy: SmoothnessPolicy, limit: int) -> sets.IntegerSet:

@@ -11,7 +11,6 @@ from operator import lt
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
-_FILL_SLICE = 1 << 20  # mask entries from_mask turns into elements at a time
 _WRITE_SLICE = 1 << 12  # elements save_text formats at a time
 
 
@@ -54,20 +53,20 @@ class IntegerSet:
     Roaring bitmaps (Chambi, Lemire, Kaser and Godin, SPE 2016).  The array
     form is one array('Q'), 8 bytes per element.  The bits form is one
     Python int whose bit i stands for window_lo + i, 1 bit per integer of the
-    window: the prime scan's layout, taken by composite sets and by the
-    dense searches' complements.  The bits form is the smaller above
-    density 1/64.  Both forms answer len, in, slice, head, tail, iteration,
-    as_mask and save_text alike, and two sets are equal when their windows
-    and elements are, whatever their forms.  `elements` is the array; a
-    bits-form set unpacks it anew on each read, so take count, head and tail
-    from len, head and tail.
+    window: the prime scan's layout, taken by composite sets, by the dense
+    searches' complements and by smooth sets above density 1/64, where the
+    bits form is the smaller.  Both forms answer len, in, slice, head, tail,
+    iteration, as_mask and save_text alike, and two sets are equal when
+    their windows and elements are, whatever their forms.  `elements` is the
+    array; a bits-form set unpacks it anew on each read, so take count, head
+    and tail from len, head and tail.
 
     The constructor takes an int as the bits form: IntegerSet(bits, lo, hi)
     is {lo + i : bit i of bits is set}.  Any other sequence is checked in
     full (strictly increasing, inside the window, at most 2**63) and then
-    converted.  An array('Q') is taken as sorted and distinct, as from_mask,
-    from_values, sumset and productset build it, and only its ends are
-    checked.  An IntegerSet is immutable and not hashable.
+    converted.  An array('Q') is taken as sorted and distinct, as
+    from_values, sumset, productset and the smooth sets build it, and only
+    its ends are checked.  An IntegerSet is immutable and not hashable.
     """
 
     __slots__ = ("_data", "window_lo", "window_hi")
@@ -213,26 +212,6 @@ class IntegerSet:
         elif len(data):
             mask[np.frombuffer(data, dtype=np.uint64)] = True
         return mask
-
-    @classmethod
-    def from_mask(cls, mask: np.ndarray, window_lo: int, window_hi: int,
-                  start: int = 0) -> "IntegerSet":
-        """{start + i : mask[i]} on [window_lo, window_hi]; the inverse of as_mask.
-
-        The 1-D mask is read _FILL_SLICE entries at a time, so no index array
-        longer than one slice is held beside the elements."""
-        import numpy as np
-        if start < 0:
-            raise ValueError("mask offset start must be >= 0")
-        out = array("Q")
-        for a in range(0, len(mask), _FILL_SLICE):
-            idx = np.flatnonzero(mask[a: a + _FILL_SLICE]).view(np.uint64)
-            if len(idx):
-                _check_range((start + a + int(idx[0]), start + a + int(idx[-1])),
-                             window_lo, window_hi)
-                idx += start + a
-                out.frombytes(memoryview(idx).cast("B"))
-        return cls(out, window_lo, window_hi)
 
     def save_text(self, path) -> None:
         """Text format: header "# window lo hi", then one integer per line."""

@@ -7,7 +7,7 @@ library's vectorized code paths.
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from itertools import product as iter_product
-from math import gcd, isqrt
+from math import gcd, isqrt, log
 
 from decomplab import IntegerSet, enumerate_semigroup
 from decomplab.semigroup import SolutionClass, _has_vanishing_subsum, strip_gamma_part
@@ -85,6 +85,18 @@ def naive_factorize(n):
         d += 1
     if n > 1:
         out.append((n, 1))
+    return out
+
+
+def naive_smooth(kind, value, limit):
+    """The n in [1, limit] with p+(n) <= value (kind "fixed") or
+    p+(n) <= max(value * ln n, 2) (kind "log"), p+(1) = 1: the predicate
+    perfbench/check.py applies to smooth reports."""
+    out = []
+    for n in range(1, limit + 1):
+        top = naive_factorize(n)[-1][0] if n > 1 else 1
+        if top <= (value if kind == "fixed" else max(value * log(n), 2.0)):
+            out.append(n)
     return out
 
 

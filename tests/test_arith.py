@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from bisect import bisect_left
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from decomplab import (
 )
 from decomplab.arith import SEGMENT_BITS
 from decomplab.sets import MASK_BUDGET
-from oracles import naive_factorize, naive_is_prime, naive_sieve, prime_flags
+from oracles import naive_factorize, naive_is_prime, naive_sieve, naive_smooth, prime_flags
 
 
 def test_is_prime_edge_cases():
@@ -341,6 +342,14 @@ def test_sieve_cache_validation(tmp_path):
         bad.write_bytes(head)
         with pytest.raises(ValueError):
             PrimeSieve.load(bad)
+    # a byte too many, and a limit whose bits no file holds, fail on the size
+    ps.save(bad)
+    bad.write_bytes(bad.read_bytes() + b"\0")
+    with pytest.raises(ValueError, match="expected 126 bitset bytes, found 127"):
+        PrimeSieve.load(bad)
+    bad.write_bytes(b"PSV1" + (2**64 - 1).to_bytes(8, "little") + bytes(126))
+    with pytest.raises(ValueError, match="found 126"):
+        PrimeSieve.load(bad)
 
 
 def test_sieve_cache_rejects_stray_padding_bits(tmp_path):
@@ -359,9 +368,12 @@ def test_largest_prime():
     assert sieve(2).largest_prime() == 2
     for limit in (23, 24, 8191, 8192, 1024, 1031, 10**5):
         assert sieve(limit).largest_prime() == max(naive_sieve(limit)), limit
-    # the top prime more than 4096 bytes before the end, and no prime at all
-    assert PrimeSieve(8 * 5000, b"\x04" + b"\0" * 5000).largest_prime() == 2
-    assert PrimeSieve(8 * 5000, bytes(5001)).largest_prime() is None
+    # the top prime more than 4096 bytes before the end, and no prime at all;
+    # then the same across slices of the bits
+    for size in (5000, 3 << 16):
+        assert PrimeSieve(8 * size, b"\x04" + b"\0" * size).largest_prime() == 2
+        assert PrimeSieve(8 * size, bytes(size + 1)).largest_prime() is None
+        assert PrimeSieve(8 * size, b"\x04" + b"\0" * size + b"\x01").count() == 2
 
 
 def test_greatest_prime_factor():
@@ -466,30 +478,59 @@ def test_smooth_sets_match_pointwise_across_window_edges(monkeypatch):
             assert tuple(shifted) == tuple(n + 1 for n in want), (policy, bits)
 
 
+def test_smooth_sets_match_the_naive_oracle():
+    # fixed bounds at the edges of the closure's prime list and on both sides
+    # of its switch to the complement; log factors from a threshold at the
+    # floor of 2 to one past the floats
+    rng = random.Random(20201126)
+    complements = 0
+    for limit in (1, 2, 3, *(rng.randint(4, 2 * 10**4) for _ in range(3))):
+        root = math.isqrt(limit)
+        cross = 1 + bisect_left(range(1, limit + 1), True,
+                                key=lambda b: arith._complement_is_cheaper(limit, b, b))
+        complements += cross <= limit
+        bounds = {1, 2, root - 1, root + 1, cross - 1, cross + 1, limit - 1, limit, 2**31 + 5}
+        policies = [SmoothnessPolicy.fixed_bound(b) for b in sorted(bounds) if b >= 1]
+        policies += [SmoothnessPolicy.log_factor(f) for f in (0.1, 0.5, 1.5, 3, 3.5, 1e3, 1e308)]
+        for policy in policies:
+            want = naive_smooth(policy.kind, policy.bound or policy.factor, limit)
+            assert list(smooth_set(policy, limit).elements) == want, (policy, limit)
+            shifted = shifted_smooth_set(policy, limit + 1)
+            assert list(shifted.elements) == [n + 1 for n in want], (policy, limit)
+            assert (shifted.window_lo, shifted.window_hi) == (1, limit + 1)
+    assert complements >= 2
+
+
 def test_log_threshold_is_taken_only_at_candidates(monkeypatch):
-    # 10,311 of the 10**6 integers are smooth; the threshold is taken once per
-    # window and once per n with p+(n) at most the window's bound on y(n)
+    # y(n) is taken at the top, by one bisection for the primes with
+    # y(p) >= p and by one per other prime p <= y(limit) for its least
+    # cofactor: never per integer
     limit, taken = 10**6, []
     exact = SmoothnessPolicy.log_threshold
 
     def counted(self, n):
-        taken.append(np.size(n))
+        taken.append(n)
         return exact(self, n)
 
     monkeypatch.setattr(SmoothnessPolicy, "log_threshold", counted)
-    arith._smooth_mask(SmoothnessPolicy.log_factor(2), limit)
-    assert sum(taken) < limit // 50
+    policy = SmoothnessPolicy.log_factor(2)
+    arith._smooth_flags(policy, limit)
+    primes = naive_sieve(int(exact(policy, float(limit))))
+    assert 0 < len(taken) <= len(primes) * math.ceil(math.log2(limit))
 
 
 def test_smooth_mask_memory_is_one_byte_per_integer(monkeypatch):
-    # the fixed and log masks take a byte per integer; composites take the
-    # complement of the prime bits, a bit per integer, and build no mask
+    # the fixed and log flags take a byte per integer, on either path;
+    # composites take the complement of the prime bits, a bit per integer
     monkeypatch.setattr(arith, "SEGMENT_BITS", 1 << 12)
     limit = 10**6
+    assert arith._complement_is_cheaper(limit, limit // 2, limit // 2)
     for build, bound in ((lambda: smooth_set(SmoothnessPolicy.composites(), limit), limit // 2),
-                         (lambda: arith._smooth_mask(SmoothnessPolicy.fixed_bound(140), limit),
+                         (lambda: arith._smooth_flags(SmoothnessPolicy.fixed_bound(140), limit),
                           2 * limit),
-                         (lambda: arith._smooth_mask(SmoothnessPolicy.log_factor(2), limit),
+                         (lambda: arith._smooth_flags(SmoothnessPolicy.fixed_bound(limit // 2),
+                                                      limit), 2 * limit),
+                         (lambda: arith._smooth_flags(SmoothnessPolicy.log_factor(2), limit),
                           2 * limit)):
         tracemalloc.start()
         try:

@@ -165,7 +165,7 @@ def test_allocation_failure_exits_3(monkeypatch, capsys):
     def fail(*args):
         raise MemoryError("Unable to allocate 1.12 GiB")
 
-    monkeypatch.setattr("decomplab.arith._smooth_window", fail)
+    monkeypatch.setattr("decomplab.arith._smooth_flags", fail)
     assert run(["smooth", "--policy", "log", "--factor", "2", "--limit", "1000"]) == EXIT_RESOURCE
     captured = capsys.readouterr()
     assert captured.err == "error: Unable to allocate 1.12 GiB\n" and captured.out == ""
@@ -501,14 +501,17 @@ NUMPY_FREE = [
      "--max-b-elem", "40"],
     ["smooth", "--policy", "composites", "--limit", "200000"],
     ["smooth", "--policy", "composites", "--limit", "200000", "--shift"],
+    ["smooth", "--policy", "fixed", "--bound", "107", "--limit", "200000", "--shift"],
 ]
 
 
 def test_point_queries_start_without_numpy(tmp_path, capsys):
-    # a sieve read back from a matching cache needs no numpy either
+    # nor do a sieve read back from a matching cache and a smooth set written out
     cache = tmp_path / "sieve.psv"
     sieve(1000).save(cache)
-    argvs = NUMPY_FREE + [["sieve", "--limit", "1000", "--cache", str(cache)]]
+    argvs = NUMPY_FREE + [["sieve", "--limit", "1000", "--cache", str(cache)],
+                          ["smooth", "--policy", "log", "--factor", "3", "--limit", "200000",
+                           "--out", str(tmp_path / "smooth.txt")]]
     # every test module imports numpy, so the check runs in a fresh interpreter
     script = (
         "import contextlib, io, json, sys\n"
@@ -523,19 +526,14 @@ def test_point_queries_start_without_numpy(tmp_path, capsys):
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[EXIT_OK] * len(argvs), False]
-    # a process that first imports numpy inside a command reports as run in-process
-    target = tmp_path / "target.txt"
-    for argv in (["smooth", "--policy", "log", "--factor", "4", "--limit", "4000",
-                  "--out", str(target)],
-                 ["decompose", "--kind", "multiplicative", "--target-file", str(target),
-                  "--max-b-size", "3", "--max-b-elem", "20"]):
-        proc = subprocess.run([sys.executable, "-m", "decomplab", *argv, "--json"],
-                              capture_output=True, text=True)
-        written = target.read_text()
-        code, report = run_json(capsys, argv)
-        assert (proc.returncode, proc.stderr) == (code, "")
-        assert canonical(json.loads(proc.stdout)) == canonical(report)
-        assert target.read_text() == written
+    # a process that first imports numpy inside a command reports as run
+    # in-process: this sieve hands the segments past the scan's first 50 to numpy
+    argv = ["sieve", "--limit", "110000000"]
+    proc = subprocess.run([sys.executable, "-m", "decomplab", *argv, "--json"],
+                          capture_output=True, text=True)
+    code, report = run_json(capsys, argv)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert canonical(json.loads(proc.stdout)) == canonical(report)
 
 
 # the layers whose code each command runs, besides cli; a layer runs on first use

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+from array import array
 from collections import Counter
 
 import pytest
@@ -50,13 +51,15 @@ def test_integer_set_validation():
     assert tuple(s.elements) == (1, 3, 5)
     assert 3 in s and 2 not in s
     assert s.slice(2, 4) == (3,)
-    # from_mask inverts as_mask, shifts by start and still checks the window
+    # as_mask spans [0, window_hi] and marks the elements of either form
     t = iset([4, 6, 8, 9], lo=2, hi=12)
-    assert IntegerSet.from_mask(t.as_mask(), t.window_lo, t.window_hi) == t
-    assert IntegerSet.from_mask(t.as_mask()[3:], 1, 12, start=3) == iset([4, 6, 8, 9], 1, 12)
-    assert IntegerSet.from_mask(t.as_mask()[:4], 5, 7) == IntegerSet((), 5, 7)
-    with pytest.raises(ValueError):
-        IntegerSet.from_mask(t.as_mask(), 5, 12)
+    for u in (t, IntegerSet(t.as_bits(), 2, 12), IntegerSet(0b1101, 5, 12)):
+        mask = u.as_mask()
+        assert len(mask) == 13 and [i for i in range(13) if mask[i]] == list(u.elements)
+    assert not IntegerSet((), 5, 7).as_mask().any()
+    for bad in ((4, 6), 1 << 11):  # outside the window, as a tuple and as bits
+        with pytest.raises(ValueError):
+            IntegerSet(bad, 5, 12)
 
 
 def test_out_of_range_values_are_value_errors(tmp_path):
@@ -75,32 +78,17 @@ def test_out_of_range_values_are_value_errors(tmp_path):
         IntegerSet.from_values([-1])
     with pytest.raises(ValueError):
         IntegerSet.from_values([1 << 64])
-    with pytest.raises(ValueError):
-        IntegerSet.from_mask([True], 0, 10, start=-1)
+    with pytest.raises(ValueError, match="bits must be >= 0"):
+        IntegerSet(-1, 0, 10)
     # 2**63 itself is a legal element on every path
     top = 1 << 63
-    for s in (IntegerSet((0, top), 0, top), iset([top, 0]),
-              IntegerSet.from_mask([True], top, top, start=top)):
+    for s in (IntegerSet((0, top), 0, top), iset([top, 0]), IntegerSet(1, top, top),
+              IntegerSet(array("Q", [top]), top, top)):
         assert top in s and top - 1 not in s and top + 1 not in s
         assert s.slice(top, top + 5) == (top,)
-    with pytest.raises(ValueError):
-        IntegerSet.from_mask([True, True], top, top + 1, start=top)
-
-
-def test_from_mask_matches_flatnonzero_across_slices():
-    import numpy as np
-
-    rng = np.random.default_rng(20201126)
-    n = 1 << 20  # from_mask's slice length
-    masks = [np.zeros(0, dtype=bool), np.zeros(n + 1, dtype=bool)]
-    masks += [rng.random(size) < 0.5 for size in (n - 1, n, n + 1, 2 * n + 3)]
-    masks[-1][n: 2 * n] = False  # a whole slice without elements
-    for mask in masks:
-        for start in (0, 1, 1 << 40):
-            got = IntegerSet.from_mask(mask, start, start + max(len(mask) - 1, 0), start)
-            assert tuple(got.elements) == tuple(int(i) + start for i in np.flatnonzero(mask))
-        if len(mask):
-            assert np.array_equal(IntegerSet.from_mask(mask, 0, len(mask) - 1).as_mask(), mask)
+    for past in (0b11, array("Q", [top, top + 1])):
+        with pytest.raises(ValueError, match="exceed 2\\*\\*63"):
+            IntegerSet(past, top, top + 1)
 
 
 def test_text_roundtrip(tmp_path):

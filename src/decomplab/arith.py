@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import math
+import os
 import re
 import struct
 from array import array
@@ -74,7 +76,9 @@ def is_composite(n: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeSieve:
-    """Packed primality bits over [0, limit]: bit i of byte j covers 8j + i."""
+    """Packed primality bits over [0, limit]: bit i of byte j covers 8j + i.
+    It holds the whole bitset; the `sieve` command needs none of it and
+    tallies the scan or the cache one window at a time (tally_primes)."""
 
     limit: int
     bits: bytes
@@ -85,9 +89,7 @@ class PrimeSieve:
         return bool((self.bits[n >> 3] >> (n & 7)) & 1)
 
     def count(self) -> int:
-        view = memoryview(self.bits)
-        return sum(int.from_bytes(view[a: a + _SLICE], "little").bit_count()
-                   for a in range(0, len(view), _SLICE))
+        return _tally(_slices(io.BytesIO(self.bits)))[0]
 
     def mask(self) -> np.ndarray:
         """Boolean primality array over [0, limit]."""
@@ -100,41 +102,87 @@ class PrimeSieve:
         return np.flatnonzero(self.mask())
 
     def largest_prime(self) -> int | None:
-        """The largest prime <= limit: the top set bit, searched for from
-        the end one slice at a time."""
-        view = memoryview(self.bits)
-        for end in range(len(view), 0, -_SLICE):
-            a = max(end - _SLICE, 0)
-            width = int.from_bytes(view[a: end], "little").bit_length()
-            if width:
-                return 8 * a + width - 1
-        return None
+        """The largest prime <= limit: the top set bit."""
+        return _tally(_slices(io.BytesIO(self.bits)))[1]
 
     def save(self, path) -> None:
-        with open(path, "wb") as fh:
-            fh.write(_SIEVE_MAGIC)
-            fh.write(struct.pack("<Q", self.limit))
-            fh.write(self.bits)
+        with _psv_writer(path, self.limit) as write:
+            write(self.bits)
 
     @classmethod
     def load(cls, path) -> "PrimeSieve":
         with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _SIEVE_MAGIC:
-                raise ValueError(f"{path}: bad magic {magic!r}")
-            head = fh.read(8)
-            if len(head) < 8:
-                raise ValueError(f"{path}: header cut short at {4 + len(head)} of 12 bytes")
-            (limit,) = struct.unpack("<Q", head)
-            # the size first, so that a corrupt limit allocates nothing
-            expected, found = (limit + 8) // 8, fh.seek(0, io.SEEK_END) - 12
-            if found != expected:
-                raise ValueError(f"{path}: expected {expected} bitset bytes, found {found}")
-            fh.seek(12)
-            bits = fh.read(expected)
-        if bits[-1] >> ((limit & 7) + 1):
-            raise ValueError(f"{path}: padding bits past limit {limit} are set")
+            limit = _psv_limit(fh, path)
+            bits = fh.read()
         return cls(limit=limit, bits=bits)
+
+
+def _psv_limit(fh, path) -> int:
+    """The limit of the open `.psv` file fh, once its magic, its header, its
+    size against the limit and its padding byte, read alone from the end,
+    are checked; fh is left at the first bitset byte.  The size comes
+    before any read of the bitset, so a corrupt limit allocates nothing."""
+    magic = fh.read(4)
+    if magic != _SIEVE_MAGIC:
+        raise ValueError(f"{path}: bad magic {magic!r}")
+    head = fh.read(8)
+    if len(head) < 8:
+        raise ValueError(f"{path}: header cut short at {4 + len(head)} of 12 bytes")
+    (limit,) = struct.unpack("<Q", head)
+    expected, found = (limit + 8) // 8, fh.seek(0, io.SEEK_END) - 12
+    if found != expected:
+        raise ValueError(f"{path}: expected {expected} bitset bytes, found {found}")
+    fh.seek(-1, io.SEEK_END)
+    if fh.read(1)[0] >> ((limit & 7) + 1):
+        raise ValueError(f"{path}: padding bits past limit {limit} are set")
+    fh.seek(12)
+    return limit
+
+
+@contextlib.contextmanager
+def _psv_writer(path, limit: int):
+    """Write the `.psv` file of limit at path: the block gets the write of
+    the bitset's bytes, which go to a sibling temporary file.  That file
+    replaces path once the block is done, and is removed if it raises, so
+    path never holds a file cut short.  An unwritable path fails here,
+    named as a direct write to it would name it."""
+    path = os.fspath(path)
+    part = f"{path}.{os.getpid()}.part"
+    try:
+        if os.path.exists(path):  # a file that may not be overwritten stays
+            open(path, "r+b").close()
+        fh = open(part, "wb")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            fh.write(_SIEVE_MAGIC + struct.pack("<Q", limit))
+            yield fh.write
+        os.replace(part, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(part)
+        raise
+
+
+def _slices(fh):
+    """The bitset of fh from where it stands, _SLICE bytes at a time, as
+    (offset, bits) pieces: bit i of bits stands for offset + i."""
+    offset = 0
+    while chunk := fh.read(_SLICE):
+        yield offset, int.from_bytes(chunk, "little")
+        offset += 8 * len(chunk)
+
+
+def _tally(pieces) -> tuple[int, int | None]:
+    """(number of primes, largest prime) over ascending (offset, bits)
+    pieces of primality bits, bit i of bits for offset + i."""
+    total, largest = 0, None
+    for offset, bits in pieces:
+        if bits:
+            total += bits.bit_count()
+            largest = offset + bits.bit_length() - 1
+    return total, largest
 
 
 class PrimeWindow(NamedTuple):
@@ -353,15 +401,48 @@ def composite_bits(lo: int, hi: int) -> int:
     return bits >> below_two << below_two
 
 
-def sieve(limit: int) -> PrimeSieve:
-    """The prime scan's windows over [0, limit], joined; O(limit/8) bytes of
-    result bits plus one window of working space."""
+def _check_sieve_limit(limit: int) -> None:
+    """Refuse a sieve below 1, or one whose bits exceed the byte budget."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
     if (limit + 8) // 8 > _DEFAULT_SIEVE_BUDGET:
         raise sets.ResourceLimitError(f"sieve to {limit} exceeds the "
                                       f"{_DEFAULT_SIEVE_BUDGET}-byte budget")
+
+
+def sieve(limit: int) -> PrimeSieve:
+    """The prime scan's windows over [0, limit], joined into one bitset;
+    O(limit/8) bytes of result bits plus one window of working space.
+    For the count, the largest prime or a cache file alone, tally_primes
+    needs the window only."""
+    _check_sieve_limit(limit)
     return PrimeSieve(limit, _prime_bytes(0, limit))
+
+
+def tally_primes(limit: int, cache=None) -> tuple[int, int | None, bool]:
+    """(number of primes, largest prime, whether the cache gave them) over
+    [0, limit], in one window of memory.  A `.psv` file at cache whose
+    header holds this limit is tallied _SLICE bytes at a time; a file with
+    another limit is judged from its header alone.  Otherwise the prime
+    scan is tallied window by window, and with a cache each window's bytes
+    are written to it as they come (see _psv_writer).  The limit is
+    checked before any file is opened."""
+    _check_sieve_limit(limit)
+    if cache and os.path.exists(cache):
+        with open(cache, "rb") as fh:
+            if _psv_limit(fh, cache) == limit:
+                return (*_tally(_slices(fh)), True)
+    with _psv_writer(cache, limit) if cache else contextlib.nullcontext() as write:
+        return (*_tally(_scanned(limit, write)), False)
+
+
+def _scanned(limit: int, write):
+    """The prime scan over [0, limit] as (start, bits) pieces; each window's
+    bytes go to write first, if there is one."""
+    for w in prime_windows(0, limit):
+        if write:
+            write(w.to_bytes())
+        yield w.start, w.bits
 
 
 _TRIAL_PRIMES = (2, *_base_primes(1 << 10))

@@ -92,17 +92,12 @@ def _policy_from_args(args) -> SmoothnessPolicy:
 
 
 def _cmd_sieve(args):
-    from .arith import PrimeSieve, sieve
-    ps = PrimeSieve.load(args.cache) if args.cache and os.path.exists(args.cache) else None
-    cache_used = ps is not None and ps.limit == args.limit
-    if not cache_used:
-        ps = sieve(args.limit)
-        if args.cache:
-            ps.save(args.cache)
+    from .arith import tally_primes
+    prime_count, largest_prime, cache_used = tally_primes(args.limit, args.cache)
     result = {
         "limit": args.limit,
-        "prime_count": ps.count(),
-        "largest_prime": ps.largest_prime(),
+        "prime_count": prime_count,
+        "largest_prime": largest_prime,
         "cache": args.cache,
         "cache_used": cache_used,
     }

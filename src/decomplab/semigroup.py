@@ -8,8 +8,7 @@ from dataclasses import asdict, dataclass
 from itertools import product as iter_product
 from operator import mul
 
-from .sets import (DecompositionCandidate, IntegerSet, ResourceLimitError, decompose_search,
-                   productset, windowed_equal)
+from . import sets
 
 SUNIT_BUDGET = 1 << 22  # most head tuples solve_sunit may hash
 
@@ -43,10 +42,15 @@ class GammaSemigroup:
         return cls(tuple(sorted({int(v) for v in values})))
 
 
-def enumerate_semigroup(g: GammaSemigroup, limit: int) -> IntegerSet:
+def enumerate_semigroup(g: GammaSemigroup, limit: int) -> sets.IntegerSet:
     """All generator products <= limit, including the empty product 1."""
     if limit < 1:
         raise ValueError("limit must be >= 1")
+    return sets.IntegerSet(tuple(_products(g, limit)), 1, limit)
+
+
+def _products(g: GammaSemigroup, limit: int) -> list[int]:
+    """The generator products <= limit, 1 among them, in ascending order."""
     values = [1]
     for gen in g.generators:
         grown = []
@@ -56,10 +60,10 @@ def enumerate_semigroup(g: GammaSemigroup, limit: int) -> IntegerSet:
                 grown.append(w)
                 w *= gen
         values = grown
-    return IntegerSet(tuple(sorted(values)), 1, limit)
+    return sorted(values)
 
 
-def h_family(g: GammaSemigroup, k: int, limit: int, cumulative: bool = False) -> IntegerSet:
+def h_family(g: GammaSemigroup, k: int, limit: int, cumulative: bool = False) -> sets.IntegerSet:
     """Sums of exactly k (or 1..k when cumulative) pairwise coprime semigroup
     elements, truncated to [1, limit].
 
@@ -71,7 +75,7 @@ def h_family(g: GammaSemigroup, k: int, limit: int, cumulative: bool = False) ->
     if limit < 1:
         raise ValueError("limit must be >= 1")
     sums = (sum(b) for b in _coprime_blocks(g, k, limit) if cumulative or len(b) == k)
-    return IntegerSet(tuple(sorted({s for s in sums if s <= limit})), 1, limit)
+    return sets.IntegerSet(tuple(sorted({s for s in sums if s <= limit})), 1, limit)
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,11 @@ def verify_exceptional_factorization(limit: int) -> ExceptionalFactorizationRepo
         if power + 1 <= limit:
             core.add(power + 1)
         power *= 2
-    rhs = productset(
-        IntegerSet((1, 2), 1, 2),
-        IntegerSet(tuple(sorted(core)), 1, limit),
+    rhs = sets.productset(
+        sets.IntegerSet((1, 2), 1, 2),
+        sets.IntegerSet(tuple(sorted(core)), 1, limit),
     )
-    passed, mismatch = windowed_equal(family, rhs, 1, limit)
+    passed, mismatch = sets.windowed_equal(family, rhs, 1, limit)
     return ExceptionalFactorizationReport(
         limit=limit,
         passed=passed,
@@ -181,10 +185,12 @@ def solve_sunit(eq: SUnitEquation, height: int) -> list[SolutionClass]:
     refused past max(SUNIT_BUDGET, E) heads."""
     if height < 1:
         raise ValueError("height must be >= 1")
-    elems = enumerate_semigroup(eq.gamma, height).elements
+    elems = _products(eq.gamma, height)  # a list, so that S-unit equations need no sets layer
+    if elems[-1] > 1 << 63:  # the cap that enumerate_semigroup's IntegerSet keeps
+        raise ValueError("elements must not exceed 2**63")
     h = len(eq.coeffs) // 2
     if len(elems) ** h > max(SUNIT_BUDGET, len(elems)):
-        raise ResourceLimitError(f"{len(elems)}**{h} S-unit head tuples exceed SUNIT_BUDGET")
+        raise sets.ResourceLimitError(f"{len(elems)}**{h} S-unit head tuples exceed SUNIT_BUDGET")
     scale = math.lcm(*(c.denominator for c in eq.coeffs))
     coeffs = [int(c * scale) for c in eq.coeffs]
     heads: dict[int, list[tuple[int, ...]]] = {}
@@ -233,7 +239,7 @@ def _coprime_blocks(g: GammaSemigroup, k: int, height: int) -> list[tuple[int, .
     return blocks
 
 
-def l_set(g: GammaSemigroup, k: int, height: int, eps_height: int) -> IntegerSet:
+def l_set(g: GammaSemigroup, k: int, height: int, eps_height: int) -> sets.IntegerSet:
     """Empirical under-approximation of the finite coordinate set: collect
     every coordinate appearing in a non-degenerate solution of
     eps*(x1+...+xl) = eta*(y1+...+yh) with pairwise coprime blocks,
@@ -267,7 +273,7 @@ def l_set(g: GammaSemigroup, k: int, height: int, eps_height: int) -> IntegerSet
                         continue
                     coords.update(xs)
                     coords.update(ys)
-    return IntegerSet(tuple(sorted(coords)), 1, height)
+    return sets.IntegerSet(tuple(sorted(coords)), 1, height)
 
 
 def solve_two_term(t2: int, t1: int, n: int, c: int, alpha_cap: int) -> list[tuple[int, int]]:
@@ -309,7 +315,7 @@ class MprimScanReport:
     limit: int
     max_b_size: int
     max_b_elem: int
-    candidates: tuple[DecompositionCandidate, ...]
+    candidates: tuple[sets.DecompositionCandidate, ...]
     expected_parts: tuple[tuple[int, ...], ...]
     consistent: bool
 
@@ -346,7 +352,7 @@ def mprimitivity_scan(
         raise ValueError("k must be >= 2")
     family = h_family(g, k, limit, cumulative=cumulative)
     candidates = tuple(
-        decompose_search(family, "multiplicative", max_b_size, max_b_elem)
+        sets.decompose_search(family, "multiplicative", max_b_size, max_b_elem)
     )
     exceptional = g.generators == (2,) and cumulative and k == 3
     expected = ((1, 2),) if exceptional else ()

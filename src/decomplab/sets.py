@@ -3,6 +3,7 @@ exhaustive windowed decomposition searcher."""
 
 from __future__ import annotations
 
+import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
@@ -272,9 +273,14 @@ def _pack(flags) -> int:
 
 
 def _unpack(bits: int, start: int) -> array:
-    """{start + i : bit i of bits is set} as an ascending array('Q'), at
-    about 45 ns per integer the bits span."""
-    return array("Q", compress(count(start), _flags(bits, start, 0)))
+    """{start + i : bit i of bits is set} as an ascending array('Q').  Where
+    fewer than 1/8 of the integers the bits span are set, a search for the
+    set bytes reads them fastest; denser bits go through compress, at
+    about 45 ns per integer spanned."""
+    flags = _flags(bits, start, 0)
+    if 8 * bits.bit_count() < bits.bit_length():
+        return array("Q", (m.start() + start for m in re.finditer(b"\1", flags)))
+    return array("Q", compress(count(start), flags))
 
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:

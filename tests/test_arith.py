@@ -363,6 +363,87 @@ def test_sieve_cache_rejects_stray_padding_bits(tmp_path):
         PrimeSieve.load(path)
 
 
+# tiny windows, and 2**14 and 2**21 either side of the scan's first window
+# and of a segment's edge
+TALLY_LIMITS = (1, 2, 3, 7, 8, 9, 2**14 - 1, 2**14 + 1, 2**21 - 1, 2**21 + 1, 2**22 + 1)
+
+
+def test_tally_primes_streams_what_sieve_joins(tmp_path):
+    for limit in TALLY_LIMITS:
+        ps = sieve(limit)
+        ps.save(tmp_path / "joined.psv")
+        want = (ps.count(), ps.largest_prime())
+        cache = tmp_path / f"streamed-{limit}.psv"
+        assert arith.tally_primes(limit) == (*want, False), limit
+        assert arith.tally_primes(limit, cache) == (*want, False), limit
+        assert cache.read_bytes() == (tmp_path / "joined.psv").read_bytes(), limit
+        assert arith.tally_primes(limit, cache) == (*want, True), limit
+        assert arith.tally_primes(limit, str(cache)) == (*want, True), limit
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["joined.psv"] + [f"streamed-{limit}.psv" for limit in TALLY_LIMITS])
+
+
+def test_tally_primes_past_the_numpy_segment_switch(tmp_path):
+    # a scan to 110,000,000 strikes 59 windows, the last 9 through numpy;
+    # pi(limit) and the largest prime below it as sympy gives them
+    limit = 110_000_000
+    assert limit > arith._NUMPY_SEGMENTS * 2 * SEGMENT_BITS
+    cache = tmp_path / "big.psv"
+    assert arith.tally_primes(limit, cache) == (6_303_309, 109_999_993, False)
+    ps = sieve(limit)
+    assert (ps.count(), ps.largest_prime()) == (6_303_309, 109_999_993)
+    assert cache.read_bytes()[12:] == ps.bits
+    del ps
+    assert arith.tally_primes(limit, cache) == (6_303_309, 109_999_993, True)
+
+
+def test_tally_primes_judges_a_stale_cache_from_its_header(tmp_path, monkeypatch):
+    cache = tmp_path / "s.psv"
+    sieve(1000).save(cache)
+    # another limit: the bitset is never read, and the scan replaces the file
+    reads = []
+    monkeypatch.setattr(arith, "_slices", lambda fh: reads.append(fh) or iter(()))
+    assert arith.tally_primes(2000, cache) == (303, 1999, False)
+    assert reads == []
+    monkeypatch.undo()
+    assert PrimeSieve.load(cache) == sieve(2000)
+    # the same checks as load: a corrupt cache is refused, and left alone
+    raw = bytearray(cache.read_bytes())
+    raw[-1] |= 1 << 7  # 2007, past the limit
+    cache.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="padding"):
+        arith.tally_primes(1000, cache)
+    assert cache.read_bytes() == bytes(raw)
+
+
+def test_tally_primes_leaves_no_cache_when_the_scan_fails(tmp_path, monkeypatch):
+    def failing_windows(lo, hi, overlap=0):
+        windows = prime_windows(lo, hi, overlap)
+        yield next(windows)
+        raise MemoryError("scan failed")
+
+    prime_windows, stale = arith.prime_windows, sieve(1000)
+    cache = tmp_path / "s.psv"
+    monkeypatch.setattr(arith, "prime_windows", failing_windows)
+    with pytest.raises(MemoryError):
+        arith.tally_primes(100000, cache)
+    assert list(tmp_path.iterdir()) == []
+    # a stale cache stays as it was
+    stale.save(cache)
+    with pytest.raises(MemoryError):
+        arith.tally_primes(100000, cache)
+    assert list(tmp_path.iterdir()) == [cache] and PrimeSieve.load(cache) == stale
+
+
+def test_tally_primes_refuses_before_opening_any_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(arith, "prime_windows", None)  # the scan must not start
+    with pytest.raises(ResourceLimitError, match="budget"):
+        arith.tally_primes(8 * arith._DEFAULT_SIEVE_BUDGET, tmp_path / "big.psv")
+    with pytest.raises(ValueError, match="limit must be >= 1"):
+        arith.tally_primes(0, tmp_path / "zero.psv")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_largest_prime():
     assert sieve(1).largest_prime() is None
     assert sieve(2).largest_prime() == 2

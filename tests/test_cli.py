@@ -107,6 +107,55 @@ def test_sieve_largest_prime(tmp_path, capsys):
             assert report["result"]["largest_prime"] == largest, limit
 
 
+def test_sieve_report_and_cache_match_the_joined_sieve(tmp_path, capsys):
+    for limit in (1, 2, 9, 2**14 + 1, 2**21 - 1, 2**22 + 1):
+        ps = sieve(limit)
+        ps.save(tmp_path / "joined.psv")
+        cache = tmp_path / "streamed.psv"
+        for argv in (["sieve", "--limit", str(limit)],
+                     ["sieve", "--limit", str(limit), "--cache", str(cache)]):
+            code, report = run_json(capsys, argv)
+            assert code == EXIT_OK
+            assert report["result"]["prime_count"] == ps.count(), argv
+            assert report["result"]["largest_prime"] == ps.largest_prime(), argv
+            assert report["result"]["cache_used"] is False
+        assert cache.read_bytes() == (tmp_path / "joined.psv").read_bytes(), limit
+        cache.unlink()
+
+
+def test_sieve_that_fails_midway_leaves_no_cache(tmp_path, capsys, monkeypatch):
+    from decomplab import arith
+
+    def failing_windows(lo, hi, overlap=0):
+        windows = prime_windows(lo, hi, overlap)
+        yield next(windows)
+        raise MemoryError
+
+    prime_windows = arith.prime_windows
+    cache = tmp_path / "s.psv"
+    argv = ["sieve", "--limit", "100000", "--cache", str(cache)]
+    monkeypatch.setattr(arith, "prime_windows", failing_windows)
+    assert run(argv) == EXIT_RESOURCE
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    code, report = run_json(capsys, argv)
+    assert (code, report["result"]["cache_used"]) == (EXIT_OK, False)
+    assert list(tmp_path.iterdir()) == [cache]
+
+
+def test_sieve_unwritable_cache_fails_before_the_scan(tmp_path, capsys, monkeypatch):
+    from decomplab import arith
+
+    monkeypatch.setattr(arith, "prime_windows", None)  # the scan must not start
+    cache = str(tmp_path / "missing" / "s.psv")
+    assert run(["sieve", "--limit", "1000", "--cache", cache]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{cache}'\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sieve_cache_with_stray_bits_is_rejected(tmp_path, capsys):
     cache = tmp_path / "s.psv"
     run_json(capsys, ["sieve", "--limit", "20", "--cache", str(cache)])
@@ -550,10 +599,9 @@ LAYERS_RUN = [
       "--max-b-size", "2", "--max-b-elem", "5"], {"arith", "sets"}),
     (["semigroup", "list", "--gamma", "2,3", "--limit", "100"], {"semigroup", "sets"}),
     (["two-term", "--t2", "3", "--t1", "1", "--n", "2", "--c", "1", "--cap", "20"],
-     {"semigroup", "sets"}),
+     {"semigroup"}),
     (["verify-exception", "--limit", "100"], {"semigroup", "sets"}),
-    (["sunit", "--coeffs", "1,1,-1", "--gamma", "2,3", "--height", "100"],
-     {"semigroup", "sets"}),
+    (["sunit", "--coeffs", "1,1,-1", "--gamma", "2,3", "--height", "100"], {"semigroup"}),
     (["hk", "--gamma", "2,3", "--k", "2", "--limit", "100"], {"semigroup", "sets"}),
     (["l-set", "--gamma", "2,3", "--k", "2", "--height", "100", "--eps-height", "10"],
      {"semigroup", "sets"}),

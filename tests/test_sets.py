@@ -175,6 +175,17 @@ def test_bits_form_reads_like_the_array_form(tmp_path):
     assert pickle.loads(pickle.dumps(dense)) == dense and copy.deepcopy(sparse) == sparse
 
 
+def test_unpack_reads_either_side_of_its_density_cut():
+    # 8 * count against the span: 792 and 800 of 800 bits, then 808 of 800
+    rng = random.Random(8)
+    for lo in (0, 1, 12345):
+        for count in (0, 1, 99, 100, 101, 800):
+            offsets = sorted({0, 799, *rng.sample(range(1, 799), count - 2)} if count > 1
+                             else {799} if count else ())
+            bits = _bits_of([lo + i for i in offsets], lo)
+            assert sets._unpack(bits, lo).tolist() == [lo + i for i in offsets], (lo, count)
+
+
 def test_bits_form_head_and_tail_across_wide_gaps():
     # elements far apart at both ends, so head and tail widen their reads
     # several times before they hold k elements

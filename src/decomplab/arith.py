@@ -33,7 +33,7 @@ _SLICE = 1 << 16  # bytes of a sieve's bits, or of smooth flags, handled at a ti
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # pre-sieved: every segment starts from their pattern
 _WHEEL = 3 * 5 * 7 * 11 * 13  # odd numbers in one period of the pattern
 _NUMPY_PRIMES = 30000  # a segment struck with more base primes goes to numpy (M)
-_NUMPY_SEGMENTS = 50  # and so does every segment after a scan's first K
+_NUMPY_SEGMENTS = 50  # and so does every segment after a scan's first K, if K more follow
 # translate tables of the smooth flags: a set source byte makes j * p smooth
 # (_KEEP) or, below cut_p, only a source for larger n (_LATE)
 _KEEP, _LATE = b"\0" + b"\1" * 255, b"\0" + b"\2" * 255
@@ -145,7 +145,8 @@ def _psv_writer(path, limit: int):
     the bitset's bytes, which go to a sibling temporary file.  That file
     replaces path once the block is done, and is removed if it raises, so
     path never holds a file cut short.  An unwritable path fails here,
-    named as a direct write to it would name it."""
+    named as a direct write to it would name it.  Once the part file is
+    open, those of writers of path that are gone are removed (_sweep_parts)."""
     path = os.fspath(path)
     part = f"{path}.{os.getpid()}.part"
     try:
@@ -154,6 +155,7 @@ def _psv_writer(path, limit: int):
         fh = open(part, "wb")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+    _sweep_parts(path)
     try:
         with fh:
             fh.write(_SIEVE_MAGIC + struct.pack("<Q", limit))
@@ -163,6 +165,27 @@ def _psv_writer(path, limit: int):
         with contextlib.suppress(OSError):
             os.remove(part)
         raise
+
+
+def _sweep_parts(path: str) -> None:
+    """Remove the files `<path>.<pid>.part` whose pid names no process: a
+    writer killed by a signal that Python cannot catch leaves its part file
+    behind.  A live writer's part file stays, and so does any file whose
+    name or process cannot be read."""
+    folder, name = os.path.split(path)
+    with contextlib.suppress(OSError):
+        for entry in os.scandir(folder or "."):
+            pid = entry.name[len(name) + 1: -len(".part")]
+            if not (entry.name.startswith(name + ".") and entry.name.endswith(".part")
+                    and pid.isascii() and pid.isdigit()):
+                continue
+            try:
+                os.kill(int(pid), 0)  # signal 0 only asks whether pid exists
+            except ProcessLookupError:
+                with contextlib.suppress(OSError):
+                    os.remove(entry.path)
+            except (OSError, OverflowError):  # alive under another user, or no pid
+                pass
 
 
 def _slices(fh):
@@ -196,12 +219,6 @@ class PrimeWindow(NamedTuple):
     def to_bytes(self) -> bytes:
         return self.bits.to_bytes((self.size + 7) // 8, "little")
 
-    def mask(self) -> np.ndarray:
-        """Boolean primality array over the window."""
-        import numpy as np
-        packed = np.frombuffer(self.to_bytes(), dtype=np.uint8)
-        return np.unpackbits(packed, count=self.size, bitorder="little").view(bool)
-
 
 def _odd_sieve(hi: int):
     """Sieve the odd base primes up to isqrt(hi) once, and return two
@@ -209,15 +226,17 @@ def _odd_sieve(hi: int):
     with the base primes p, p * p <= e.  flags(s, e) returns a bytearray
     whose byte k is 1 when s + 2k is prime, padded with zeros to whole
     words; it is one buffer, which the next call overwrites.
-    strike(s, e, struck=0) returns the same as an int, bit 2k for byte k.
+    strike(s, e, bulk=False) returns the same as an int, bit 2k for byte k.
     A segment starts from a pattern with the multiples of 3, 5, 7, 11 and 13
     crossed off; each larger p then crosses off its odd multiples from
     max(p * p, s) in one slice assignment.
 
     strike hands a segment to numpy when it needs more than M =
-    _NUMPY_PRIMES base primes, or once the scan has struck K =
-    _NUMPY_SEGMENTS segments before it (`struck`).  numpy crosses off every
-    first multiple in one array step, loops only over the primes that
+    _NUMPY_PRIMES base primes, or when the scan asks for it (`bulk`).
+    prime_windows asks for every segment after a scan's first K =
+    _NUMPY_SEGMENTS, if at least K segments' worth of integers are left
+    where the (K + 1)-th starts, and decides this once.  numpy crosses off
+    every first multiple in one array step, loops only over the primes that
     strike the segment twice, and packs the bits.  Both give the same bits:
     the pure loop spares a short scan numpy's import, numpy is faster per
     segment.  A sweep (Python 3.11.7, numpy 2.4.6, 2 CPUs; importing numpy
@@ -228,9 +247,25 @@ def _odd_sieve(hi: int):
         2**14 ints  0.6/0.6  1.1/0.7  2.8/0.8  7.0/0.9  18/1.5   44/3.5
         2**21 ints  5.9/4.0  7.2/5.8  12/10    22/23    56/51    75/46
 
-    `sieve` and `verify-thm1` from 0 cross over between 10**8 and 2 * 10**8
-    (54 and 100 segments): K = 50 keeps a scan's extra cost within about
-    one import.  A segment whose extra cost exceeds 2 * import / K, about
+    K segments of the pure loop's extra cost, about 2 ms each past 10**8,
+    are worth about one import.  So a scan strikes K segments before it
+    buys numpy, which keeps its extra cost within about one import, and
+    buys it only when at least K segments are left to repay it: with the
+    end hi known, a rest shorter than K stays on the pure loop.  Deciding
+    once matters: a scan that re-checked each segment would strike its
+    last K on the pure loop after paying for the import.  `sieve` from 0,
+    which switches at hi >= 197115905, on the same machine (medians of 5
+    runs, s / peak MiB):
+
+        limit    segments  switch after K  decided at K  pure loop only
+        10**8       54     0.47 / 34.3     0.38 / 21.9   0.36 / 22.0
+        1.56e8      81     0.56 / 34.8     0.52 / 21.9   0.54 / 22.0
+        1.95e8      99     0.65 / 34.8     0.62 / 21.8   0.62 / 22.0
+        2.05e8     104     0.71 / 34.8     0.69 / 35.0   0.70 / 22.1
+        4e8        197     1.08 / 34.9     1.02 / 34.9   1.26 / 22.0
+        10**9      483     2.57 / 34.8     2.43 / 34.9   3.20 / 22.0
+
+    A segment whose extra cost exceeds 2 * import / K, about
     6 ms, goes to numpy at once; a scan's first windows, 2**14 integers,
     reach that near 10**11: M = 30000, heights above 350377**2, about
     1.2 * 10**11.  The prime 2 is left to the caller."""
@@ -283,9 +318,9 @@ def _odd_sieve(hi: int):
             out[i:: p] = zeros[: (n - 1 - i) // p + 1]
         return out
 
-    def strike(s: int, e: int, struck: int = 0) -> int:
+    def strike(s: int, e: int, bulk: bool = False) -> int:
         top = bisect_right(base, math.isqrt(e))
-        if top > _NUMPY_PRIMES or struck >= _NUMPY_SEGMENTS:
+        if bulk or top > _NUMPY_PRIMES:
             return _strike_numpy(presieved(s, e), s, base[first: top])
         return _pack_odd(flags(s, e))
 
@@ -360,7 +395,7 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
         raise ValueError(f"a prime scan needs lo >= 0, got {lo}")
     seg = 2 * SEGMENT_BITS  # integers per segment
     least, most = min(overlap, seg // 2), max(seg - overlap, seg // 2)
-    fresh, start, end, reach, struck = 1 << 14, lo, lo + overlap - 1, -1, 0
+    fresh, start, end, reach, struck, bulk = 1 << 14, lo, lo + overlap - 1, -1, 0, False
     while start <= hi:
         fresh = min(max(fresh, least), most)
         end = min(end + fresh, hi)
@@ -371,7 +406,9 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
             strike = _odd_sieve(reach)[1]
         bits = 0
         for a in range(start | 1, end + 1, seg):  # one segment of flags at a time
-            bits |= strike(a, min(a + seg - 1, end), struck) << (a - start)
+            if struck == _NUMPY_SEGMENTS:  # decided once: numpy only if it repays its import
+                bulk = hi - a >= _NUMPY_SEGMENTS * seg
+            bits |= strike(a, min(a + seg - 1, end), bulk) << (a - start)
             struck += 1
         if start <= 2 <= end:
             bits |= 1 << (2 - start)

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from bisect import bisect_left
 
@@ -105,11 +108,30 @@ def test_resource_limits_refuse_before_allocating():
     assert issubclass(ResourceLimitError, MemoryError)
 
 
+def _window_mask(w):
+    """A PrimeWindow's bits as a boolean array over the window."""
+    packed = np.frombuffer(w.to_bytes(), dtype=np.uint8)
+    return np.unpackbits(packed, count=w.size, bitorder="little").view(bool)
+
+
 def _scan_mask(lo, hi):
     """Primality over [lo, hi] as one boolean array: the prime scan's
     windows, joined; empty when lo > hi."""
     return np.concatenate([np.zeros(0, dtype=bool),
-                           *(w.mask() for w in arith.prime_windows(lo, hi))])
+                           *(_window_mask(w) for w in arith.prime_windows(lo, hi))])
+
+
+def _numpy_strikes(monkeypatch):
+    """Count the segments that numpy strikes: the list of their starts,
+    which grows as arith._strike_numpy is called."""
+    starts, strike = [], arith._strike_numpy
+
+    def counted(flags, s, primes):
+        starts.append(s)
+        return strike(flags, s, primes)
+
+    monkeypatch.setattr(arith, "_strike_numpy", counted)
+    return starts
 
 
 def _naive_bits(limit):
@@ -200,10 +222,11 @@ def test_sieve_window_across_two_to_48():
 
 def _window_text(w):
     """A PrimeWindow's bits as text, character i "1" when w.start + i is
-    prime, checked against its mask."""
+    prime, checked against its bytes."""
     text = format(w.bits, "b").zfill(w.size)[::-1]
     assert len(text) == w.size, (w.start, w.size)  # no bit past the window
-    assert np.array_equal(w.mask(), np.frombuffer(text.encode(), dtype=np.uint8) == ord("1"))
+    assert np.array_equal(_window_mask(w),
+                          np.frombuffer(text.encode(), dtype=np.uint8) == ord("1"))
     return text
 
 
@@ -284,22 +307,54 @@ def test_composite_bits_complement_the_prime_bits(monkeypatch):
 
 def test_kernel_modes_give_identical_bits_at_segment_edges(monkeypatch):
     # the pure slice loop, numpy's one-step first multiples, and a scan that
-    # switches after its first two segments, each forced by the two limits
-    modes = {"pure": (math.inf, math.inf), "numpy": (0, 0), "switched": (math.inf, 2)}
+    # switches after its first segment, each forced by the two limits; the
+    # segments numpy strikes are counted
+    modes = {"pure": (math.inf, math.inf), "numpy": (0, 0), "switched": (math.inf, 1)}
     seg = 2 * SEGMENT_BITS
     cases = [(lo, lo + 2 * seg + 5, overlap) for lo in (0, 1, 2) for overlap in (0, seg + 7)]
     cases += [(10**9 - seg - 3, 10**9 + seg + 3, 0), (2**48 - 2**15 - 3, 2**48 + 2**14, 0)]
+    numpy_starts = _numpy_strikes(monkeypatch)
     for lo, hi, overlap in cases:
-        got = {}
+        got, struck = {}, {}
         for mode, (primes, segments) in modes.items():
             monkeypatch.setattr(arith, "_NUMPY_PRIMES", primes)
             monkeypatch.setattr(arith, "_NUMPY_SEGMENTS", segments)
+            numpy_starts.clear()
             got[mode] = list(arith.prime_windows(lo, hi, overlap))
+            struck[mode] = len(numpy_starts)
         assert got["pure"] == got["numpy"] == got["switched"], (lo, hi, overlap)
+        assert struck["pure"] == 0 and struck["numpy"] >= 3, (lo, hi, overlap, struck)
+        if hi - lo > 2 * seg:  # past K = 1 segment, more than one is left
+            assert 0 < struck["switched"] < struck["numpy"], (lo, hi, overlap, struck)
         for w in got["pure"]:
             text = _window_text(w)
             for i in {*range(min(40, w.size)), *range(max(w.size - 40, 0), w.size)}:
                 assert text[i] == "01"[is_prime(w.start + i)], w.start + i
+
+
+def test_scan_goes_to_numpy_only_when_k_segments_are_left(monkeypatch):
+    # with 16-integer segments a scan from 0 strikes one segment per window,
+    # and its (K + 1)-th starts at a = 16 * K + 1.  Numpy's import pays off
+    # over K segments: the scan hands numpy the rest only if hi - a >= 16 * K,
+    # and once it has, numpy strikes every segment to the end
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
+    k = arith._NUMPY_SEGMENTS
+    a = 16 * k + 1
+    numpy_starts = _numpy_strikes(monkeypatch)
+    for hi, want in ((a + 16 * k - 1, []), (a + 16 * k, list(range(a, a + 16 * k + 1, 16))),
+                     (a + 16 * 3 * k, list(range(a, a + 16 * 3 * k + 1, 16)))):
+        numpy_starts.clear()
+        flags = prime_flags(hi)
+        assert _scan_mask(0, hi).tolist() == [bool(f) for f in flags], hi
+        assert numpy_starts == want, hi
+    # a scan that starts higher counts its K segments from lo
+    numpy_starts.clear()
+    lo = 1001
+    assert _scan_mask(lo, lo + 32 * k - 1).tolist() == [naive_is_prime(n)
+                                                        for n in range(lo, lo + 32 * k)]
+    assert numpy_starts == []
+    _scan_mask(lo, lo + 32 * k)
+    assert numpy_starts == list(range(lo + 16 * k, lo + 32 * k + 1, 16))
 
 
 def test_prime_windows_refuse_only_the_window_past_the_base_prime_limit(monkeypatch):
@@ -383,13 +438,16 @@ def test_tally_primes_streams_what_sieve_joins(tmp_path):
         ["joined.psv"] + [f"streamed-{limit}.psv" for limit in TALLY_LIMITS])
 
 
-def test_tally_primes_past_the_numpy_segment_switch(tmp_path):
-    # a scan to 110,000,000 strikes 59 windows, the last 9 through numpy;
-    # pi(limit) and the largest prime below it as sympy gives them
+def test_tally_primes_past_the_numpy_segment_switch(tmp_path, monkeypatch):
+    # a scan to 110,000,000 strikes 59 windows; past K = 20 of them, more
+    # than K segments are left, so the last 39 go through numpy.  pi(limit)
+    # and the largest prime below it as sympy gives them
     limit = 110_000_000
-    assert limit > arith._NUMPY_SEGMENTS * 2 * SEGMENT_BITS
+    monkeypatch.setattr(arith, "_NUMPY_SEGMENTS", 20)
+    numpy_starts = _numpy_strikes(monkeypatch)
     cache = tmp_path / "big.psv"
     assert arith.tally_primes(limit, cache) == (6_303_309, 109_999_993, False)
+    assert len(numpy_starts) == 39 and numpy_starts[-1] == 52 * 2 * SEGMENT_BITS - 2**14 + 1
     ps = sieve(limit)
     assert (ps.count(), ps.largest_prime()) == (6_303_309, 109_999_993)
     assert cache.read_bytes()[12:] == ps.bits
@@ -433,6 +491,24 @@ def test_tally_primes_leaves_no_cache_when_the_scan_fails(tmp_path, monkeypatch)
     with pytest.raises(MemoryError):
         arith.tally_primes(100000, cache)
     assert list(tmp_path.iterdir()) == [cache] and PrimeSieve.load(cache) == stale
+
+
+def test_cache_writes_sweep_part_files_whose_writer_is_gone(tmp_path, monkeypatch):
+    # a writer killed by a signal leaves <cache>.<pid>.part behind: the next
+    # write of that cache removes it once no process has its pid, and keeps
+    # a live writer's part file and every other file
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: no process has its pid
+    gone, alive = (f"s.psv.{pid}.part" for pid in (child.pid, os.getppid()))
+    kept = [alive, "s.psv.x.part", "s.psv.part", f"t.psv.{child.pid}.part", f"s.psv.{child.pid}"]
+    monkeypatch.chdir(tmp_path)
+    for name in (gone, *kept):
+        (tmp_path / name).write_bytes(b"cut short")
+    assert arith.tally_primes(1000, "s.psv") == (168, 997, False)  # a name in the folder
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["s.psv", *kept])
+    (tmp_path / gone).write_bytes(b"cut short")
+    sieve(1000).save(tmp_path / "s.psv")  # a path with its folder
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["s.psv", *kept])
 
 
 def test_tally_primes_refuses_before_opening_any_file(tmp_path, monkeypatch):

@@ -542,6 +542,7 @@ NUMPY_FREE = [
     ["witness", "add", "--b", "0,2,5", "--n0", "24850656", "--limit", "2000000000"],
     ["verify-thm1", "--limit", "1000000"],
     ["sieve", "--limit", "100000"],
+    ["sieve", "--limit", "150000000"],  # past K = 50 segments, fewer than 50 are left
     ["decompose", "--kind", "additive", "--composites", "--window", "9,20000",
      "--max-b-size", "3", "--max-b-elem", "8"],
     ["decompose", "--kind", "multiplicative", "--composites", "--window", "9,20000",
@@ -554,7 +555,9 @@ NUMPY_FREE = [
 ]
 
 
-def test_point_queries_start_without_numpy(tmp_path, capsys):
+def test_point_queries_start_without_numpy(tmp_path, capsys, monkeypatch):
+    from decomplab import arith
+
     # nor do a sieve read back from a matching cache and a smooth set written out
     cache = tmp_path / "sieve.psv"
     sieve(1000).save(cache)
@@ -576,13 +579,18 @@ def test_point_queries_start_without_numpy(tmp_path, capsys):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [[EXIT_OK] * len(argvs), False]
     # a process that first imports numpy inside a command reports as run
-    # in-process: this sieve hands the segments past the scan's first 50 to numpy
-    argv = ["sieve", "--limit", "110000000"]
+    # in-process: past the scan's first 50 segments this sieve has 57 left,
+    # and numpy strikes them
+    argv = ["sieve", "--limit", "210000000"]
     proc = subprocess.run([sys.executable, "-m", "decomplab", *argv, "--json"],
                           capture_output=True, text=True)
+    starts, strike = [], arith._strike_numpy
+    monkeypatch.setattr(arith, "_strike_numpy",
+                        lambda flags, s, primes: starts.append(s) or strike(flags, s, primes))
     code, report = run_json(capsys, argv)
     assert (proc.returncode, proc.stderr) == (code, "")
     assert canonical(json.loads(proc.stdout)) == canonical(report)
+    assert len(starts) == 57
 
 
 # the layers whose code each command runs, besides cli; a layer runs on first use

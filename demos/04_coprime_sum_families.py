@@ -29,10 +29,10 @@ for exp in (10, 20, 30):
     report = verify_exceptional_factorization(2**exp)
     print(f"  limit 2^{exp}: passed={report.passed}, {report.family_count} family elements")
 
-print("\nscans for multiplicative parts (size <= 3, elements <= 100, limit 10^5):")
+print("\nscans for multiplicative parts (size <= 5, elements <= 100, limit 10^6):")
 for gens, k, cum in [((2, 3), 2, False), ((2,), 2, False), ((2,), 3, True)]:
     report = mprimitivity_scan(
-        GammaSemigroup.of(gens), k, 10**5, cumulative=cum, max_b_size=3, max_b_elem=100
+        GammaSemigroup.of(gens), k, 10**6, cumulative=cum, max_b_size=5, max_b_elem=100
     )
     label = "up to" if cum else "exactly"
     print(f"  {set(gens)}, {label} {k} terms: parts found {[list(c.b) for c in report.candidates]}")

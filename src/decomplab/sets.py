@@ -7,7 +7,7 @@ import re
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
-from itertools import combinations, compress, count, islice, starmap
+from itertools import compress, count, islice, starmap
 from operator import lt
 
 VALUE_CAP = 1 << 63
@@ -375,23 +375,30 @@ def decompose_search(
     window instead.
 
     Two paths give the same candidates, and neither imports numpy.  The
-    dense path works over the whole window [0, hi], so each b costs passes
-    over all of it: additive searches on ints of bits, multiplicative ones
-    on one byte per integer and ints of those bytes.  The sparse path works
-    on the target's elements.  It is taken when 64 * (|target| + lo) <= hi:
-    the target and the free range below the window fill at most 1/64 of it.
-    The factor comes from timing both paths in process on one machine
+    dense path works over the whole window [0, hi], so each part costs
+    passes over all of it: additive searches on ints of bits,
+    multiplicative ones on one byte per integer and ints of those bytes.
+    The sparse path works on the target's elements.  It is taken when
+    64 * (|target| + lo) <= hi: the target and the free range below the
+    window fill at most 1/64 of it.  The factor comes from timing both
+    paths in process on one machine, when every part rebuilt its c from
+    scratch.  Re-timed with the walk of _search, on 2 CPUs
     (window / (|target| + lo) in brackets; dense, then sparse):
       - sum families, as mprim-scan searches them with parts
-        (max_b_size, max_b_elem) = (3, 100), cross below it: h_family
-        {2,3,5}, k <= 3 at 1e5 [21] 1.5 s, 1.7 s; at 1e6 [118] 4.1 s,
-        2.4 s; {3,5}, k <= 3 at 1e6 [2632] 0.63 s, 0.15 s;
+        (max_b_size, max_b_elem) = (3, 100): h_family {2,3,5}, k <= 3 at
+        1e5 [21] 1.4 s, 0.93 s; at 1e6 [118] 1.9 s, 1.1 s; {3,5}, k <= 3
+        at 1e6 [2632] 0.047 s, 0.012 s;
       - random additive targets at 1e6 (a uniform sample, lo = 0), parts
-        (3, 16), cross near [256]: [64] 0.058 s, 0.15 s; [256] 0.029 s,
-        0.032 s; (4, 8) at [1024] 0.032 s, 0.008 s;
-      - smooth sets, whose elements share many small divisors, cross only
-        near [288]: the log policy, parts (3, 20), at 4e5 [22] 0.18 s,
-        1.6 s; at 1e6 [66] 0.40 s, 1.4 s; at 1e7 [288] 4.2 s, 4.2 s.
+        (3, 16): [64] 0.041 s, 0.018 s; [256] 0.012 s, 0.004 s; (4, 8) at
+        [1024] 0.002 s, under 0.001 s;
+      - smooth sets, whose elements share many small divisors: the log
+        policy with factor 2.5, parts (3, 20), at 4e5 [44] 0.11 s,
+        0.48 s; at 1e6 [66] 0.26 s, 0.89 s; at 1e7 [195] 3.1 s, 4.3 s.
+    The walk moved the crossover down: the sparse path now wins on sum
+    families from [21] (the size loop crossed between [21] and [118]) and
+    on random targets from [64] (it crossed near [256]).  Smooth sets
+    still favour the dense path up to [195], as they did up to [288].  The
+    factor is kept as it was tuned.
     Either way a window above MASK_BUDGET is refused.
 
     Only parts with |b| <= max_b_size are visible: a decomposition whose both
@@ -413,54 +420,61 @@ def decompose_search(
 
 def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
             full_window: bool, path) -> list[DecompositionCandidate]:
-    """decompose_search's loop over the parts b, on the given path.
+    """decompose_search's walk over the parts b, on the given path.
 
     The kind decides the parts b tried (0 plus a subset of
     1..min(max_b_elem, hi), or a subset of the divisor pool up to the same
-    bound), the least c, and shrunk(max b) = (lo (+|*) max b,
-    hi (-|//) max b), whose top bounds c.  The path,
-    path(target, additive, c_min), gives four steps: divides(d), whether d
-    divides a target element (read by multiplicative searches only);
-    complement(b, climit), the c in
-    [c_min, climit] whose every combination with b lands in the target or
-    below the window, or None when there are fewer than two; covers(b, c,
-    cover_lo, cover_hi), whether b (+|*) c holds every target element there;
-    and as_set(c, climit), c as an IntegerSet on [c_min, climit].
+    bound) and the least c.  The parts form a set-enumeration tree: a part
+    extends its prefix by one beta above all of the prefix's, and the walk
+    visits the tree depth first, in increasing order, so the parts come out
+    sorted.  Since c(b + beta) = c(b) & S_beta, each part narrows its
+    prefix's c once; and since c only shrinks, a prefix with fewer than two
+    c has no accepted extension, so its subtree is skipped.  The stack keeps
+    one frame per level (prefix, its c, the pool indices left), not Python
+    frames, so a deep tree cannot reach the recursion limit.
+
+    The path, path(target, additive, c_min), gives start, the c of the root
+    ((0,) or the empty part), and four steps: divides(d), whether d divides
+    a target element (read by multiplicative searches only);
+    narrow(c, beta), c & S_beta, where S_beta holds the c whose combination
+    with beta lands in the target or below the window, or None when fewer
+    than two remain; covers(b, c, cover_lo, cover_hi), whether b (+|*) c
+    holds every target element there; and as_set(c, climit), c as an
+    IntegerSet on [c_min, climit], climit = hi (-|//) max b.
     """
     lo, hi = target.window_lo, target.window_hi
     additive = kind == "additive"
     c_min = 0 if additive else 1
-    divides, complement, covers, as_set = path(target, additive, c_min)
+    start, divides, narrow, covers, as_set = path(target, additive, c_min)
     # parts above hi are not tried: an additive one leaves climit < 0, and no
     # d > hi divides a target element
     top = min(max_b_elem, hi)
     if additive:
         head, pool = (0,), range(1, top + 1)
-
-        def shrunk(maxb):
-            return lo + maxb, hi - maxb
     else:
         head, pool = (), [d for d in range(1, top + 1) if divides(d)]
 
-        def shrunk(maxb):
-            return lo * maxb, hi // maxb
-
     accepted: list[DecompositionCandidate] = []
-    for size in range(2, max_b_size + 1):
-        for rest in combinations(pool, size - len(head)):
-            b = head + rest
-            edge, climit = shrunk(b[-1])
-            if climit < c_min:
+    stack = [(head, start, iter(range(len(pool))))]
+    while stack:
+        prefix, c, rest = stack[-1]
+        for i in rest:
+            beta = pool[i]
+            cb = narrow(c, beta)
+            if cb is None:
                 continue
-            c = complement(b, climit)
-            if c is None:
-                continue
-            cover_lo, cover_hi = (lo, hi) if full_window else (edge, climit)
-            if cover_lo <= cover_hi and not covers(b, c, cover_lo, cover_hi):
-                continue
-            accepted.append(DecompositionCandidate(kind, b, as_set(c, climit),
-                                                   (cover_lo, cover_hi)))
-    accepted.sort(key=lambda cand: cand.b)
+            b = prefix + (beta,)
+            if len(b) >= 2:
+                edge, climit = (lo + beta, hi - beta) if additive else (lo * beta, hi // beta)
+                cover_lo, cover_hi = (lo, hi) if full_window else (edge, climit)
+                if cover_lo > cover_hi or covers(b, cb, cover_lo, cover_hi):
+                    accepted.append(DecompositionCandidate(kind, b, as_set(cb, climit),
+                                                           (cover_lo, cover_hi)))
+            if len(b) < max_b_size:
+                stack.append((b, cb, iter(range(i + 1, len(pool)))))
+                break
+        else:
+            stack.pop()
     return accepted
 
 
@@ -468,26 +482,28 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
     """_search's steps over the whole window [0, hi].
 
     Additive: on ints of bits, bit i standing for i.  allowed is the target
-    T plus [0, lo - 1], the images free below the window; c(b) is the AND of
-    allowed >> beta over beta in b, which lies in [0, climit]; b covers
+    T plus [0, lo - 1], the images free below the window, and start, the c
+    of (0,); narrow ANDs c with allowed >> beta, which ends c at
+    hi - beta = climit, as beta is the part's largest; b covers
     [cover_lo, cover_hi] when T AND that window AND NOT the OR of c << beta
     is 0; and c becomes a bits-form IntegerSet.  divides is None: additive
     parts are not drawn from divisors.
 
     Multiplicative: on flags, one byte per integer of [0, hi], so that
     allowed[::beta] gathers the multiples of beta in one slice, and on ints
-    of those bytes.  allowed is T plus [1, lo - 1]; c(b) is the AND over
-    beta in b of q(beta), the int of allowed[::beta], which q(max b) ends at
-    climit; the cover ORs c into every beta-th byte.  No numpy either way."""
+    of those bytes.  allowed is T plus [1, lo - 1], and S_beta is q(beta),
+    the int of allowed[::beta], cached by divides for each d of the pool.
+    start is None, the c of the empty part: narrow(None, beta) returns
+    q(beta) itself, shared and not copied, and otherwise ANDs c with it,
+    which ends c at climit.  The cover ORs c into every beta-th byte.  No
+    numpy either way."""
     lo, hi = target.window_lo, target.window_hi
     if additive:
         t = target.as_bits() << lo
         allowed = t | ((1 << lo) - 1)
 
-        def complement(b, climit):
-            c = allowed  # b[0] = 0, and allowed >> max(b) ends c at climit
-            for beta in b[1:]:
-                c &= allowed >> beta
+        def narrow(c, beta):
+            c &= allowed >> beta
             return c if c.bit_count() >= 2 else None
 
         def covers(b, c, cover_lo, cover_hi):
@@ -500,7 +516,7 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
         def as_set(c, climit):
             return IntegerSet(c, c_min, climit)
 
-        return None, complement, covers, as_set
+        return allowed, None, narrow, covers, as_set
 
     flags = _flags(target._data, lo, hi - lo + 1)
     # c_min = 1, and combinations below the window are unconstrained
@@ -512,10 +528,8 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
             quotients[d] = int.from_bytes(allowed[::d], "little")
         return d in quotients
 
-    def complement(b, climit):
-        c = -1
-        for beta in b:
-            c &= quotients[beta]
+    def narrow(c, beta):
+        c = quotients[beta] if c is None else c & quotients[beta]
         return c if c & (c - 1) else None  # at least two bytes set
 
     def covers(b, c, cover_lo, cover_hi):
@@ -533,20 +547,20 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
     def as_set(c, climit):
         return IntegerSet(_pack(c.to_bytes(climit + 1, "little")[1:]), c_min, climit)
 
-    return divides, complement, covers, as_set
+    return None, divides, narrow, covers, as_set
 
 
 def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
     """_search's steps on the target's elements; c is a Python set.
 
     allowed is the target plus [c_min, lo - 1], the images free below the
-    window, and c(b) is the intersection over beta in b of
-    S_beta = {c : beta (+|*) c in allowed}, which lies in
-    [c_min, hi (-|//) beta], so c(b) needs no cut to [c_min, climit].
-    Additive: S_0 = allowed and S_beta is allowed shifted down by beta, so
-    c(b) is allowed filtered by c + beta in allowed, and no S_beta is
-    stored.  Multiplicative: S_beta, the quotients by beta, shrinks as beta
-    grows and is kept per beta.
+    window, and S_beta = {c : beta (+|*) c in allowed} lies in
+    [c_min, hi (-|//) beta], so c needs no cut to [c_min, climit].
+    Additive: start, the c of (0,), is allowed, and narrow keeps the c with
+    c + beta in allowed, so no S_beta is stored.  Multiplicative: S_beta,
+    the quotients by beta, shrinks as beta grows and is kept per beta;
+    start is None, the c of the empty part, and narrow(None, beta) returns
+    S_beta itself, shared and not copied.
     """
     lo, elems = target.window_lo, target.elements
     allowed = set(elems).union(range(c_min, lo))
@@ -560,13 +574,11 @@ def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
             quotients[beta] = {a // beta for a in allowed if a % beta == 0}
         return quotients[beta]
 
-    def complement(b, climit):
+    def narrow(c, beta):
         if additive:
-            c = allowed
-            for beta in b[:0:-1]:
-                c = {x for x in c if x + beta in allowed}
+            c = {x for x in c if x + beta in allowed}
         else:
-            c = part(b[0]).intersection(*map(part, b[1:]))  # walks the smaller side
+            c = part(beta) if c is None else c & part(beta)  # walks the smaller side
         return c if len(c) >= 2 else None
 
     def covers(b, c, cover_lo, cover_hi):
@@ -579,7 +591,7 @@ def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
     def as_set(c, climit):
         return IntegerSet(array("Q", sorted(c)), c_min, climit)
 
-    return divides, complement, covers, as_set
+    return (allowed if additive else None), divides, narrow, covers, as_set
 
 
 COVER_OFFSETS = (0, 1, 3, 5)

@@ -1,16 +1,21 @@
 import copy
 import pickle
 import random
+import sys
+import time
 from array import array
 from collections import Counter
+from itertools import product
 
 import pytest
 
 from decomplab import (
     DecompositionCandidate,
+    GammaSemigroup,
     IntegerSet,
     WindowError,
     decompose_search,
+    h_family,
     productset,
     sieve,
     sumset,
@@ -199,7 +204,8 @@ def test_bits_form_head_and_tail_across_wide_gaps():
 def test_additive_bits_path_matches_oracle_at_window_edges():
     # where the window's edges bite: lo = 0, one-point windows, parts past
     # hi (climit < 0, so max_b_elem > hi tries no more), and the free range
-    # below a window far from 0; c is checked against its definition too
+    # below a window far from 0; c is checked against its definition too,
+    # on the sparse path as well as the bits
     rng = random.Random(16)
     accepted = 0
     for lo, hi, rounds in ((0, 0, 2), (5, 5, 4), (0, 1, 4), (0, 12, 10), (3, 12, 10),
@@ -209,8 +215,8 @@ def test_additive_bits_path_matches_oracle_at_window_edges():
             tset = set(values)
             target = IntegerSet(tuple(values), lo, hi)
             for size, elem in ((2, hi + 5 if hi < 100 else 12), (3, 6), (4, 5)):
-                for full in (False, True):
-                    found = sets._search(target, "additive", size, elem, full, sets._dense_path)
+                for full, path in product((False, True), (sets._dense_path, sets._sparse_path)):
+                    found = sets._search(target, "additive", size, elem, full, path)
                     want = additive_accepted_parts(values, lo, hi, size, elem, full)
                     assert [cand.b for cand in found] == want, (values, lo, hi, size, elem, full)
                     for cand in found:
@@ -226,7 +232,8 @@ def test_additive_bits_path_matches_oracle_at_window_edges():
 def test_multiplicative_flags_path_matches_oracle_at_window_edges():
     # the multiplicative twin of the test above, on bits- and array-form
     # targets alike: one-point windows, parts past hi, lo = 1000 with its
-    # free range [1, 999], and c checked against its definition
+    # free range [1, 999], and c checked against its definition, on the
+    # sparse path as well as the flags
     rng = random.Random(17)
     accepted = 0
     for lo, hi, rounds in ((1, 1, 2), (5, 5, 4), (1, 2, 4), (1, 12, 10), (3, 12, 10),
@@ -236,9 +243,9 @@ def test_multiplicative_flags_path_matches_oracle_at_window_edges():
             tset = set(values)
             targets = (IntegerSet(_bits_of(values, lo), lo, hi), IntegerSet(tuple(values), lo, hi))
             for size, elem in ((2, hi + 5 if hi < 100 else 12), (3, 6), (4, 5)):
-                for full in (False, True):
-                    found, again = (sets._search(t, "multiplicative", size, elem, full,
-                                                 sets._dense_path) for t in targets)
+                for full, path in product((False, True), (sets._dense_path, sets._sparse_path)):
+                    found, again = (sets._search(t, "multiplicative", size, elem, full, path)
+                                    for t in targets)
                     assert found == again, (values, lo, hi, size, elem, full)
                     want = multiplicative_accepted_parts(values, lo, hi, size, elem, full)
                     assert [cand.b for cand in found] == want, (values, lo, hi, size, elem, full)
@@ -435,19 +442,83 @@ def test_sparse_path_equals_dense_path():
                 c = rng.sample(range(1, hi // max(b) + 1), min(hi // max(b), rng.randrange(2, 40)))
                 values = [x * y for x in b for y in c if x * y >= lo] or [hi]
         target = IntegerSet.from_values(values, lo, hi)
-        for full in (False, True):
-            found = [sets._search(target, kind, 3, 8, full, path)
+        # parts of 4 on the small windows, where the oracle runs
+        for full, size in product((False, True), (3, 4) if hi <= 500 else (3,)):
+            found = [sets._search(target, kind, size, 8, full, path)
                      for path in (sets._dense_path, sets._sparse_path)]
             dense, sparse = ([(c.b, tuple(c.c.elements), c.c.window_lo, c.c.window_hi,
                                c.coverage_window) for c in cands] for cands in found)
-            assert sparse == dense, (kind, tuple(target), lo, hi, full)
+            assert sparse == dense, (kind, tuple(target), lo, hi, full, size)
             assert all(c.verify(target) for c in found[1])
             if hi <= 500:
                 oracle = (additive_accepted_parts if kind == "additive"
                           else multiplicative_accepted_parts)
-                assert [c[0] for c in sparse] == oracle(tuple(target), lo, hi, 3, 8, full)
+                assert [c[0] for c in sparse] == oracle(tuple(target), lo, hi, size, 8, full)
             accepted[kind, full] += len(sparse)
     assert len(accepted) == 4 and all(accepted.values())  # every kind and mode accepts
+
+
+def test_decompose_search_depth_stops_at_the_pool():
+    # parts can hold no more than 0 and the pool 1..3, so sizes past 4 add
+    # nothing, however many are allowed
+    target = composites_window(9, 40)
+    want = decompose_search(target, "additive", 4, 3)
+    start = time.perf_counter()
+    assert decompose_search(target, "additive", 10**9, 3) == want
+    assert time.perf_counter() - start < 0.5
+
+
+def _frame_depth():
+    frame, depth = sys._getframe(1), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_walks_deep_trees_without_recursion():
+    # every subset of 1..12 with 0 is accepted on a full target: 4095 parts
+    # in a tree 13 deep, walked within 15 frames of the caller
+    target = IntegerSet(tuple(range(41)), 0, 40)
+    for path in (sets._dense_path, sets._sparse_path):
+        want = sets._search(target, "additive", 13, 12, False, path)
+        assert len(want) == 4095 and max(len(c.b) for c in want) == 13
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(_frame_depth() + 15)
+        try:
+            found = sets._search(target, "additive", 13, 12, False, path)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert found == want, path.__name__
+
+
+def test_search_narrows_once_per_part_and_skips_small_c():
+    # a sum family whose prefixes mostly keep fewer than two c: the walk
+    # narrows far fewer parts than the 1,285,750 of sizes 2..4 in its pool,
+    # and checks the cover only of parts with two c or more
+    target = h_family(GammaSemigroup.of([3, 5]), 3, 10**5, cumulative=True)
+    counts = []
+    for path in (sets._dense_path, sets._sparse_path):
+        calls = Counter()
+
+        def counted(target, additive, c_min):
+            start, divides, narrow, covers, as_set = path(target, additive, c_min)
+
+            def counted_narrow(c, beta):
+                calls["narrow"] += 1
+                return narrow(c, beta)
+
+            def counted_covers(b, c, cover_lo, cover_hi):
+                calls["covers"] += 1
+                assert len(as_set(c, target.window_hi // b[-1])) >= 2, b
+                return covers(b, c, cover_lo, cover_hi)
+
+            return start, divides, counted_narrow, counted_covers, as_set
+
+        found = sets._search(target, "multiplicative", 4, 100, False, counted)
+        assert found == sets._search(target, "multiplicative", 4, 100, False, path)
+        counts.append(calls)
+    assert counts[0] == counts[1]
+    assert 0 < counts[0]["covers"] and counts[0]["narrow"] <= 60000, counts[0]
 
 
 def test_decompose_matches_exhaustive_complement_search():

@@ -10,11 +10,10 @@ import re
 import struct
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress, count
-from typing import NamedTuple
 
-from . import sets
+from . import _Record, sets
 
 MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
 _U64 = 1 << 64
@@ -74,14 +73,12 @@ def is_composite(n: int) -> bool:
     return n > 1 and not is_prime(n)
 
 
-@dataclass(frozen=True)
-class PrimeSieve:
+class PrimeSieve(_Record):
     """Packed primality bits over [0, limit]: bit i of byte j covers 8j + i.
     It holds the whole bitset; the `sieve` command needs none of it and
     tallies the scan or the cache one window at a time (tally_primes)."""
 
-    limit: int
-    bits: bytes
+    __slots__ = ("limit", "bits")
 
     def is_prime(self, n: int) -> bool:
         if not 0 <= n <= self.limit:
@@ -208,13 +205,13 @@ def _tally(pieces) -> tuple[int, int | None]:
     return total, largest
 
 
-class PrimeWindow(NamedTuple):
+class PrimeWindow(namedtuple("PrimeWindow", ("start", "size", "bits"))):
     """Primality over [start, start + size - 1] as packed bits in the `.psv`
-    layout: bit i of `bits` says whether start + i is prime."""
+    layout: bit i of the int `bits` says whether start + i is prime.  A
+    tuple, which the constellation scan unpacks, built by collections, which
+    argparse loads already; typing.NamedTuple would import typing."""
 
-    start: int
-    size: int
-    bits: int
+    __slots__ = ()
 
     def to_bytes(self) -> bytes:
         return self.bits.to_bytes((self.size + 7) // 8, "little")
@@ -550,8 +547,7 @@ def greatest_prime_factor(n: int) -> int:
     return factorize(n)[-1][0]
 
 
-@dataclass(frozen=True)
-class SmoothnessPolicy:
+class SmoothnessPolicy(_Record):
     """Threshold rule y(n) deciding which integers count as smooth (friable).
 
     kind "composites" models any threshold with n/2 < y(n) < n: a composite n
@@ -562,9 +558,8 @@ class SmoothnessPolicy:
     small n, a deliberate deviation below e**(2/factor).
     """
 
-    kind: str
-    bound: int | None = None
-    factor: float | None = None
+    __slots__ = ("kind", "bound", "factor")
+    _defaults = {"bound": None, "factor": None}
 
     def __post_init__(self):
         if self.kind not in ("composites", "fixed", "log"):

@@ -308,7 +308,77 @@ def _cmd_mprim_scan(args):
     return (EXIT_OK if report.consistent else EXIT_FAIL), report.to_json_dict(), []
 
 
-def _build_parser() -> _Parser:
+_INT = {"type": int, "required": True}
+_STR = {"required": True}
+_FLAG = {"action": "store_true"}
+
+# each command path, "command" or "group subcommand", with its handler and
+# its options after --json and --threads, in the order --help lists them
+_COMMANDS = {
+    "sieve": (_cmd_sieve, {"--limit": _INT, "--cache": {}}),
+    "smooth": (_cmd_smooth, {
+        "--policy": {"choices": ["composites", "fixed", "log"], "required": True},
+        "--limit": _INT,
+        "--bound": {"type": int},
+        "--factor": {"type": float},
+        "--shift": {**_FLAG, "help": "shift the set by +1"},
+        "--out": {"help": "write the set in text format"},
+    }),
+    "verify-thm1": (_cmd_verify_thm1, {"--limit": _INT}),
+    "tuple admissible": (_cmd_tuple_admissible, {"--offsets": _STR}),
+    "tuple select-triple": (_cmd_tuple_select, {"--b2": _INT, "--b3": _INT}),
+    "tuple find": (_cmd_tuple_find, {
+        "--offsets": _STR,
+        "--window": {**_STR, "help": "LO,HI scan range"},
+        "--composite-center": _FLAG,
+        "--consecutive": _FLAG,
+    }),
+    "witness add": (_cmd_witness_add, {
+        "--b": _STR,
+        "--n0": {"type": int, "default": 9},
+        "--limit": {"type": int, "default": 10**7, "help": "search ceiling for n"},
+    }),
+    "witness mul": (_cmd_witness_mul, {
+        "--b": _STR,
+        "--n0": {"type": int, "default": 1},
+        "--t-hi": {"type": int, "default": 10**6, "help": "progression scan ceiling"},
+    }),
+    "semigroup list": (_cmd_semigroup_list, {"--gamma": _STR, "--limit": _INT}),
+    "hk": (_cmd_hk, {
+        "--gamma": _STR,
+        "--k": _INT,
+        "--le": {**_FLAG, "help": "cumulative family (sums of up to k terms)"},
+        "--limit": _INT,
+    }),
+    "verify-exception": (_cmd_verify_exception, {"--limit": _INT}),
+    "decompose": (_cmd_decompose, {
+        "--kind": {"choices": ["additive", "multiplicative"], "required": True},
+        "--target-file": {},
+        "--composites": _FLAG,
+        "--window": {},
+        "--max-b-size": _INT,
+        "--max-b-elem": _INT,
+        "--full-window": _FLAG,
+    }),
+    "sunit": (_cmd_sunit, {"--coeffs": _STR, "--gamma": _STR, "--height": _INT}),
+    "l-set": (_cmd_l_set, {"--gamma": _STR, "--k": _INT, "--height": _INT, "--eps-height": _INT}),
+    "two-term": (_cmd_two_term, {"--t2": _INT, "--t1": _INT, "--n": _INT, "--c": _INT,
+                                 "--cap": _INT}),
+    "mprim-scan": (_cmd_mprim_scan, {
+        "--gamma": _STR,
+        "--k": _INT,
+        "--le": _FLAG,
+        "--limit": _INT,
+        "--max-b-size": {"type": int, "default": 3},
+        "--max-b-elem": {"type": int, "default": 100},
+    }),
+}
+
+
+def _build_parser(argv) -> _Parser:
+    """The parser of the command argv[0] names, with all of its subcommands
+    for a group; of every command when argv[0] names none, so that --help
+    and the usage errors list them all."""
     common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the report as JSON")
     common.add_argument("--threads", type=int, default=None,
@@ -316,117 +386,23 @@ def _build_parser() -> _Parser:
 
     parser = _Parser(prog="decomplab", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("sieve", parents=[common])
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--cache", type=str, default=None)
-    p.set_defaults(func=_cmd_sieve)
-
-    p = sub.add_parser("smooth", parents=[common])
-    p.add_argument("--policy", choices=["composites", "fixed", "log"], required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--factor", type=float, default=None)
-    p.add_argument("--shift", action="store_true", help="shift the set by +1")
-    p.add_argument("--out", type=str, default=None, help="write the set in text format")
-    p.set_defaults(func=_cmd_smooth)
-
-    p = sub.add_parser("verify-thm1", parents=[common])
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=_cmd_verify_thm1)
-
-    tup = sub.add_parser("tuple", parents=[common])
-    tsub = tup.add_subparsers(dest="tuple_command", parser_class=_Parser)
-
-    p = tsub.add_parser("admissible", parents=[common])
-    p.add_argument("--offsets", type=str, required=True)
-    p.set_defaults(func=_cmd_tuple_admissible)
-
-    p = tsub.add_parser("select-triple", parents=[common])
-    p.add_argument("--b2", type=int, required=True)
-    p.add_argument("--b3", type=int, required=True)
-    p.set_defaults(func=_cmd_tuple_select)
-
-    p = tsub.add_parser("find", parents=[common])
-    p.add_argument("--offsets", type=str, required=True)
-    p.add_argument("--window", type=str, required=True, help="LO,HI scan range")
-    p.add_argument("--composite-center", action="store_true")
-    p.add_argument("--consecutive", action="store_true")
-    p.set_defaults(func=_cmd_tuple_find)
-
-    wit = sub.add_parser("witness", parents=[common])
-    wsub = wit.add_subparsers(dest="witness_command", parser_class=_Parser)
-
-    p = wsub.add_parser("add", parents=[common])
-    p.add_argument("--b", type=str, required=True)
-    p.add_argument("--n0", type=int, default=9)
-    p.add_argument("--limit", type=int, default=10**7, help="search ceiling for n")
-    p.set_defaults(func=_cmd_witness_add)
-
-    p = wsub.add_parser("mul", parents=[common])
-    p.add_argument("--b", type=str, required=True)
-    p.add_argument("--n0", type=int, default=1)
-    p.add_argument("--t-hi", type=int, default=10**6, help="progression scan ceiling")
-    p.set_defaults(func=_cmd_witness_mul)
-
-    p = sub.add_parser("semigroup", parents=[common])
-    ssub = p.add_subparsers(dest="semigroup_command", parser_class=_Parser)
-    p = ssub.add_parser("list", parents=[common])
-    p.add_argument("--gamma", type=str, required=True)
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=_cmd_semigroup_list)
-
-    p = sub.add_parser("hk", parents=[common])
-    p.add_argument("--gamma", type=str, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--le", action="store_true", help="cumulative family (sums of up to k terms)")
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=_cmd_hk)
-
-    p = sub.add_parser("verify-exception", parents=[common])
-    p.add_argument("--limit", type=int, required=True)
-    p.set_defaults(func=_cmd_verify_exception)
-
-    p = sub.add_parser("decompose", parents=[common])
-    p.add_argument("--kind", choices=["additive", "multiplicative"], required=True)
-    p.add_argument("--target-file", type=str, default=None)
-    p.add_argument("--composites", action="store_true")
-    p.add_argument("--window", type=str, default=None)
-    p.add_argument("--max-b-size", type=int, required=True)
-    p.add_argument("--max-b-elem", type=int, required=True)
-    p.add_argument("--full-window", action="store_true")
-    p.set_defaults(func=_cmd_decompose)
-
-    p = sub.add_parser("sunit", parents=[common])
-    p.add_argument("--coeffs", type=str, required=True)
-    p.add_argument("--gamma", type=str, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.set_defaults(func=_cmd_sunit)
-
-    p = sub.add_parser("l-set", parents=[common])
-    p.add_argument("--gamma", type=str, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--height", type=int, required=True)
-    p.add_argument("--eps-height", type=int, required=True)
-    p.set_defaults(func=_cmd_l_set)
-
-    p = sub.add_parser("two-term", parents=[common])
-    p.add_argument("--t2", type=int, required=True)
-    p.add_argument("--t1", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True)
-    p.set_defaults(func=_cmd_two_term)
-
-    p = sub.add_parser("mprim-scan", parents=[common])
-    p.add_argument("--gamma", type=str, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--le", action="store_true")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--max-b-size", type=int, default=3)
-    p.add_argument("--max-b-elem", type=int, default=100)
-    p.set_defaults(func=_cmd_mprim_scan)
-
+    named = argv[0] if argv and any(path.split()[0] == argv[0] for path in _COMMANDS) else None
+    groups = {}  # group name -> its subparsers
+    for path, (func, options) in _COMMANDS.items():
+        command, _, subcommand = path.partition(" ")
+        if named not in (None, command):
+            continue
+        if subcommand:
+            if command not in groups:
+                group = sub.add_parser(command, parents=[common])
+                groups[command] = group.add_subparsers(dest=f"{command}_command",
+                                                       parser_class=_Parser)
+            p = groups[command].add_parser(subcommand, parents=[common])
+        else:
+            p = sub.add_parser(command, parents=[common])
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -455,7 +431,7 @@ def _print_human(report) -> None:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
         if getattr(args, "func", None) is None:

@@ -5,16 +5,15 @@ composite n (with full validation) such that n + 1 cannot be covered."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
+from . import _Record
 from .arith import factorize, is_composite, is_prime
 
 
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """x = r (mod m) constraints with pairwise coprime moduli."""
+class CongruenceSystem(_Record):
+    """x = r (mod m) constraints, (r, m) pairs, with pairwise coprime moduli."""
 
-    congruences: tuple[tuple[int, int], ...]
+    __slots__ = ("congruences",)
 
     def __post_init__(self):
         mods = [m for _, m in self.congruences]
@@ -42,8 +41,7 @@ def crt_solve(system: CongruenceSystem) -> tuple[int, int]:
     return (x if x > 0 else m), m
 
 
-@dataclass(frozen=True)
-class CrtWitnessPlan:
+class CrtWitnessPlan(_Record):
     """Progression plan for a part b with 1 = b1 < b2 < ... < bl.
 
     Each bi (i >= 2) contributes an anchor modulus: its smallest odd prime
@@ -54,15 +52,9 @@ class CrtWitnessPlan:
     b2(n+1) - 1 prime and bi not dividing n + 1.
     """
 
-    b: tuple[int, ...]
-    p_set: tuple[int, ...]
-    q1: int
-    q2: int
-    x0: int
-    modulus: int
-    prog_step: int
-    prog_offset: int
-    transcript: tuple[str, ...] = field(repr=False, default=())
+    __slots__ = ("b", "p_set", "q1", "q2", "x0", "modulus", "prog_step", "prog_offset",
+                 "transcript")
+    _defaults = {"transcript": ()}
 
     def progression(self, t: int) -> int:
         return self.prog_step * t + self.prog_offset
@@ -152,18 +144,14 @@ def build_plan(b) -> CrtWitnessPlan:
     )
 
 
-@dataclass(frozen=True)
-class MultiplicativeWitness:
+class MultiplicativeWitness(_Record):
     """A composite n >= n0 such that n + 1 sits in the shifted-composites
     tail but cannot be a product a * bi for any complement element a."""
 
-    b: tuple[int, ...]
-    branch: str  # "unit" when 1 in b, else "nonunit"
-    n: int
-    t: int | None = None
-    plan: CrtWitnessPlan | None = None
-    checks: tuple[tuple[str, int | bool], ...] = ()
-    transcript: tuple[str, ...] = field(repr=False, default=())
+    # branch is "unit" when 1 in b, else "nonunit"; t and plan are the unit
+    # branch's; checks are (name, int or bool) pairs
+    __slots__ = ("b", "branch", "n", "t", "plan", "checks", "transcript")
+    _defaults = {"t": None, "plan": None, "checks": (), "transcript": ()}
 
     def validate(self) -> bool:
         if not is_composite(self.n):

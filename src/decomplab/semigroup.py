@@ -4,21 +4,19 @@ sums, bounded-height S-unit enumeration, and the lone factorable family."""
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from itertools import product as iter_product
 from operator import mul
 
-from . import sets
+from . import _Record, sets
 
 SUNIT_BUDGET = 1 << 22  # most head tuples solve_sunit may hash
 
 
-@dataclass(frozen=True)
-class GammaSemigroup:
+class GammaSemigroup(_Record):
     """Pairwise coprime generators > 1 of a multiplicative semigroup
-    (which always contains 1)."""
+    (which always contains 1), a sorted tuple."""
 
-    generators: tuple[int, ...]
+    __slots__ = ("generators",)
 
     def __post_init__(self):
         if not self.generators:
@@ -78,16 +76,11 @@ def h_family(g: GammaSemigroup, k: int, limit: int, cumulative: bool = False) ->
     return sets.IntegerSet(tuple(sorted({s for s in sums if s <= limit})), 1, limit)
 
 
-@dataclass(frozen=True)
-class ExceptionalFactorizationReport:
-    limit: int
-    passed: bool
-    first_mismatch: int | None
-    family_count: int
-    product_count: int
+class ExceptionalFactorizationReport(_Record):
+    __slots__ = ("limit", "passed", "first_mismatch", "family_count", "product_count")
 
     def to_json_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 def verify_exceptional_factorization(limit: int) -> ExceptionalFactorizationReport:
@@ -130,13 +123,11 @@ def strip_gamma_part(a: int, g: GammaSemigroup) -> tuple[int, int]:
     return a0, d
 
 
-@dataclass(frozen=True)
-class SUnitEquation:
-    """a1*x1 + ... + am*xm = 0 with nonzero rational coefficients and each
-    xi drawn from the semigroup."""
+class SUnitEquation(_Record):
+    """a1*x1 + ... + am*xm = 0 with nonzero rational coefficients (a tuple
+    of Fractions) and each xi drawn from the semigroup gamma."""
 
-    coeffs: tuple[Fraction, ...]
-    gamma: GammaSemigroup
+    __slots__ = ("coeffs", "gamma")
 
     def __post_init__(self):
         if len(self.coeffs) < 2:
@@ -151,13 +142,11 @@ class SUnitEquation:
         return cls(tuple(Fraction(c) for c in coeffs), gamma)
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(_Record):
     """Canonical representative (no common semigroup factor > 1) of a
     proportionality class of solutions."""
 
-    representative: tuple[int, ...]
-    degenerate: bool
+    __slots__ = ("representative", "degenerate")
 
 
 def _has_vanishing_subsum(pos, neg) -> bool:
@@ -307,17 +296,9 @@ def two_term_min_exponent_bound(n: int, c: int) -> int | None:
     return e
 
 
-@dataclass(frozen=True)
-class MprimScanReport:
-    generators: tuple[int, ...]
-    k: int
-    cumulative: bool
-    limit: int
-    max_b_size: int
-    max_b_elem: int
-    candidates: tuple[sets.DecompositionCandidate, ...]
-    expected_parts: tuple[tuple[int, ...], ...]
-    consistent: bool
+class MprimScanReport(_Record):
+    __slots__ = ("generators", "k", "cumulative", "limit", "max_b_size", "max_b_elem",
+                 "candidates", "expected_parts", "consistent")
 
     def to_json_dict(self):
         return {

@@ -6,9 +6,10 @@ from __future__ import annotations
 import re
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass
 from itertools import compress, count, islice, starmap
 from operator import lt
+
+from . import _Record
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
@@ -327,18 +328,14 @@ def windowed_equal(a: IntegerSet, b: IntegerSet, lo: int, hi: int) -> tuple[bool
     return False, longer[min(len(xa), len(xb))]
 
 
-@dataclass(frozen=True)
-class DecompositionCandidate:
+class DecompositionCandidate(_Record):
     """An accepted part pair: the small part b and the canonical maximal c.
 
     coverage_window is the interval on which the combined set was checked to
     equal the target; it may be empty (lo > hi) for degenerate geometry.
     """
 
-    kind: str
-    b: tuple[int, ...]
-    c: IntegerSet
-    coverage_window: tuple[int, int]
+    __slots__ = ("kind", "b", "c", "coverage_window")
 
     def verify(self, target: IntegerSet) -> bool:
         """Recombine the parts and recheck equality with the target."""
@@ -597,17 +594,12 @@ def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
 COVER_OFFSETS = (0, 1, 3, 5)
 
 
-@dataclass(frozen=True)
-class CompositeCoverReport:
-    limit: int
-    passed: bool
-    first_mismatch: int | None
-    base_count: int
-    covered_count: int
-    composite_count: int
+class CompositeCoverReport(_Record):
+    __slots__ = ("limit", "passed", "first_mismatch", "base_count", "covered_count",
+                 "composite_count")
 
     def to_json_dict(self):
-        return {**asdict(self), "offsets": list(COVER_OFFSETS)}
+        return {**self._asdict(), "offsets": list(COVER_OFFSETS)}
 
 
 def verify_composite_decomposition(limit: int) -> CompositeCoverReport:

@@ -3,19 +3,18 @@ non-coverage witnesses for small part sizes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate, repeat, starmap
 from operator import add
 
+from . import _Record
 from .arith import is_composite, is_prime, prime_windows
 
 
-@dataclass(frozen=True)
-class OffsetTuple:
+class OffsetTuple(_Record):
     """Sorted distinct integer offsets (coincident entries collapse)."""
 
-    offsets: tuple[int, ...]
+    __slots__ = ("offsets",)
 
     def __post_init__(self):
         if not self.offsets:
@@ -165,17 +164,11 @@ def _set_bits(bits: int, start: int) -> list[int]:
     return hits
 
 
-@dataclass(frozen=True)
-class AdditiveWitness:
+class AdditiveWitness(_Record):
     """A composite n whose offset pattern is all prime: no additive
     decomposition of the composite tail can use this base set."""
 
-    b: tuple[int, ...]
-    pattern: OffsetTuple
-    case: str
-    n: int
-    prime_values: tuple[int, ...]
-    n0: int
+    __slots__ = ("b", "pattern", "case", "n", "prime_values", "n0")
 
     def validate(self) -> bool:
         if self.b[0] != 0 or len(self.b) not in (2, 3):

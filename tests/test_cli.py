@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,15 @@ import sys
 import pytest
 
 from decomplab.arith import sieve
-from decomplab.cli import EXIT_FAIL, EXIT_INCONCLUSIVE, EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, run
+from decomplab.cli import (
+    EXIT_FAIL,
+    EXIT_INCONCLUSIVE,
+    EXIT_OK,
+    EXIT_RESOURCE,
+    EXIT_USAGE,
+    _build_parser,
+    run,
+)
 from decomplab.sets import MASK_BUDGET
 from oracles import naive_constellation, naive_is_prime, prime_flags
 
@@ -510,6 +519,64 @@ def test_usage_errors(capsys):
     assert "error" in err
 
 
+# the usage of each command path's --help, with its line breaks folded into
+# spaces, and the usage errors the parser reports; each parser is built
+# only for the command it runs, and these pin the text of the full one
+USAGE = {
+    "sieve": "decomplab sieve [-h] [--json] [--threads THREADS] --limit LIMIT [--cache CACHE]",
+    "smooth": "decomplab smooth [-h] [--json] [--threads THREADS] --policy {composites,fixed,log} --limit LIMIT [--bound BOUND] [--factor FACTOR] [--shift] [--out OUT]",
+    "verify-thm1": "decomplab verify-thm1 [-h] [--json] [--threads THREADS] --limit LIMIT",
+    "tuple": "decomplab tuple [-h] [--json] [--threads THREADS] {admissible,select-triple,find} ...",
+    "tuple admissible": "decomplab tuple admissible [-h] [--json] [--threads THREADS] --offsets OFFSETS",
+    "tuple select-triple": "decomplab tuple select-triple [-h] [--json] [--threads THREADS] --b2 B2 --b3 B3",
+    "tuple find": "decomplab tuple find [-h] [--json] [--threads THREADS] --offsets OFFSETS --window WINDOW [--composite-center] [--consecutive]",
+    "witness": "decomplab witness [-h] [--json] [--threads THREADS] {add,mul} ...",
+    "witness add": "decomplab witness add [-h] [--json] [--threads THREADS] --b B [--n0 N0] [--limit LIMIT]",
+    "witness mul": "decomplab witness mul [-h] [--json] [--threads THREADS] --b B [--n0 N0] [--t-hi T_HI]",
+    "semigroup": "decomplab semigroup [-h] [--json] [--threads THREADS] {list} ...",
+    "semigroup list": "decomplab semigroup list [-h] [--json] [--threads THREADS] --gamma GAMMA --limit LIMIT",
+    "hk": "decomplab hk [-h] [--json] [--threads THREADS] --gamma GAMMA --k K [--le] --limit LIMIT",
+    "verify-exception": "decomplab verify-exception [-h] [--json] [--threads THREADS] --limit LIMIT",
+    "decompose": "decomplab decompose [-h] [--json] [--threads THREADS] --kind {additive,multiplicative} [--target-file TARGET_FILE] [--composites] [--window WINDOW] --max-b-size MAX_B_SIZE --max-b-elem MAX_B_ELEM [--full-window]",
+    "sunit": "decomplab sunit [-h] [--json] [--threads THREADS] --coeffs COEFFS --gamma GAMMA --height HEIGHT",
+    "l-set": "decomplab l-set [-h] [--json] [--threads THREADS] --gamma GAMMA --k K --height HEIGHT --eps-height EPS_HEIGHT",
+    "two-term": "decomplab two-term [-h] [--json] [--threads THREADS] --t2 T2 --t1 T1 --n N --c C --cap CAP",
+    "mprim-scan": "decomplab mprim-scan [-h] [--json] [--threads THREADS] --gamma GAMMA --k K [--le] --limit LIMIT [--max-b-size MAX_B_SIZE] [--max-b-elem MAX_B_ELEM]",
+}
+COMMANDS = ("{sieve,smooth,verify-thm1,tuple,witness,semigroup,hk,verify-exception,decompose,"
+            "sunit,l-set,two-term,mprim-scan}")
+USAGE_ERRORS = {
+    "bogus": "argument command: invalid choice: 'bogus' (choose from 'sieve', 'smooth', "
+             "'verify-thm1', 'tuple', 'witness', 'semigroup', 'hk', 'verify-exception', "
+             "'decompose', 'sunit', 'l-set', 'two-term', 'mprim-scan')",
+    "tuple bogus": "argument tuple_command: invalid choice: 'bogus' (choose from 'admissible', "
+                   "'select-triple', 'find')",
+    "witness": "missing subcommand",
+    "semigroup": "missing subcommand",
+}
+
+
+def _help(argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        run(argv)
+    assert exit_.value.code == 0, argv
+    return capsys.readouterr().out
+
+
+def test_help_and_usage_errors_are_pinned(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for path, usage in USAGE.items():
+        out = _help(path.split() + ["--help"], capsys)
+        assert " ".join(out.split("\n\n")[0].split()) == "usage: " + usage, path
+    for argv in (["--help"], ["-h"]):
+        out = _help(argv, capsys)
+        assert out.startswith(f"usage: decomplab [-h]\n{' ' * 17}{COMMANDS}\n"), argv
+        assert f"\npositional arguments:\n  {COMMANDS}\n" in out, argv
+    for argv, message in USAGE_ERRORS.items():
+        assert run(argv.split()) == EXIT_USAGE, argv
+        assert capsys.readouterr() == ("", f"error: {message}\n"), argv
+
+
 def test_big_integers_become_strings(capsys):
     code, report = run_json(
         capsys,
@@ -619,7 +686,9 @@ LAYERS_RUN = [
 LAYERS = {"arith", "mwitness", "semigroup", "sets", "tuples"}
 
 # a fresh interpreter: imports decomplab.cli, runs argv (if any) through
-# cli.run, and reports which decomplab modules are registered and which ran
+# cli.run, and reports which decomplab modules are registered and which ran,
+# whether fractions is loaded, and which of dataclasses and the modules it
+# imports, inspect and ast, are
 _LOAD_STATE = (
     "import contextlib, io, json, sys, types\n"
     "import decomplab.cli\n"
@@ -630,7 +699,8 @@ _LOAD_STATE = (
     "        if n.startswith('decomplab.')}\n"
     "print(json.dumps([code, sorted(mods),\n"
     "                  sorted(n for n, m in mods.items() if type(m) is types.ModuleType),\n"
-    "                  'fractions' in sys.modules]))\n"
+    "                  'fractions' in sys.modules,\n"
+    "                  [n for n in ('dataclasses', 'inspect', 'ast') if n in sys.modules]]))\n"
 )
 
 
@@ -642,18 +712,42 @@ def _load_state(argv):
 
 
 def test_bare_cli_import_registers_every_layer_and_runs_none():
-    code, registered, ran, fractions = _load_state([])
+    code, registered, ran, fractions, record_imports = _load_state([])
     assert set(registered) == LAYERS | {"cli"}
     assert ran == ["cli"] and not fractions
+    assert record_imports == []
 
 
 def test_each_command_runs_only_its_layers():
     for argv, layers in LAYERS_RUN:
-        code, registered, ran, fractions = _load_state(argv)
+        code, registered, ran, fractions, record_imports = _load_state(argv)
         assert code == EXIT_OK, argv
         assert set(registered) == LAYERS | {"cli"}, argv
         assert set(ran) == layers | {"cli"}, argv
         assert fractions == (argv[0] == "sunit"), argv  # only S-unit equations load it
+        assert record_imports == [], argv
+
+
+def _subcommands(parser) -> list[str]:
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_each_parser_holds_only_its_command():
+    full = _build_parser([])
+    assert list(_subcommands(full)) == COMMANDS[1:-1].split(",")
+    groups = {"tuple": ["admissible", "select-triple", "find"], "witness": ["add", "mul"],
+              "semigroup": ["list"]}
+    for argv, _ in LAYERS_RUN:
+        argv = argv + ["--json"]
+        parser = _build_parser(argv)
+        assert parser.parse_args(argv) == full.parse_args(argv), argv
+        (command,) = _subcommands(parser)
+        assert command == argv[0]
+        subparsers = [a for a in _subcommands(parser)[command]._actions
+                      if isinstance(a, argparse._SubParsersAction)]
+        assert [list(a.choices) for a in subparsers] == ([groups[command]] if command in groups
+                                                         else []), argv
 
 
 def test_star_import_resolves_every_public_name():

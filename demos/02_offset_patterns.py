@@ -16,11 +16,12 @@ for b2, b3 in [(3, 9), (2, 4), (1, 4), (1, 2), (2, 5), (2, 3)]:
           f"admissible={is_admissible(t)}, covering={satisfies_covering(t, (0, b2, b3))}")
 
 print("\ntwin-style pattern {-1, 1}: composite centers up to 100:")
-print(" ", find_constellation(OffsetTuple.of([-1, 1]), 3, 100, require_composite_center=True))
+print(" ", find_constellation(OffsetTuple.of([-1, 1]), 3, 100,
+                             require_composite_center=True).tolist())
 
 print("\npattern {0, 2, 6} and its consecutive-prime subset up to 2000:")
-plain = find_constellation(OffsetTuple.of([0, 2, 6]), 1, 2000)
-consec = find_constellation(OffsetTuple.of([0, 2, 6]), 1, 2000, require_consecutive=True)
+plain = find_constellation(OffsetTuple.of([0, 2, 6]), 1, 2000).tolist()
+consec = find_constellation(OffsetTuple.of([0, 2, 6]), 1, 2000, require_consecutive=True).tolist()
 print(f"  all hits:        {plain}")
 print(f"  consecutive only: {consec}")
 

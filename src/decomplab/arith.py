@@ -224,9 +224,14 @@ def _odd_sieve(hi: int):
     whose byte k is 1 when s + 2k is prime, padded with zeros to whole
     words; it is one buffer, which the next call overwrites.
     strike(s, e, bulk=False) returns the same as an int, bit 2k for byte k.
-    A segment starts from a pattern with the multiples of 3, 5, 7, 11 and 13
-    crossed off; each larger p then crosses off its odd multiples from
-    max(p * p, s) in one slice assignment.
+    A segment starts from the pattern with the multiples of 3, 5, 7, 11 and
+    13 crossed off, _WHEEL bytes long: one period at the segment's phase,
+    sliced from two periods of it, is doubled in place up to the segment's
+    length, so the working memory is the segment and not a segment-long
+    copy of the pattern.  Each larger p then crosses off its odd multiples
+    from max(p * p, s) in one slice assignment from `zeros`, which is as
+    long as the longest such slice: n / 17 + 2 bytes for n odd numbers, 17
+    being the least prime the pattern leaves.
 
     strike hands a segment to numpy when it needs more than M =
     _NUMPY_PRIMES base primes, or when the scan asks for it (`bulk`).
@@ -255,12 +260,16 @@ def _odd_sieve(hi: int):
     runs, s / peak MiB):
 
         limit    segments  switch after K  decided at K  pure loop only
-        10**8       54     0.47 / 34.3     0.38 / 21.9   0.36 / 22.0
-        1.56e8      81     0.56 / 34.8     0.52 / 21.9   0.54 / 22.0
-        1.95e8      99     0.65 / 34.8     0.62 / 21.8   0.62 / 22.0
-        2.05e8     104     0.71 / 34.8     0.69 / 35.0   0.70 / 22.1
-        4e8        197     1.08 / 34.9     1.02 / 34.9   1.26 / 22.0
-        10**9      483     2.57 / 34.8     2.43 / 34.9   3.20 / 22.0
+        10**8       54     0.47 / 34.3     0.38 / 18.3   0.36 / 22.0
+        1.56e8      81     0.56 / 34.8     0.52 / 18.3   0.54 / 22.0
+        1.95e8      99     0.65 / 34.8     0.62 / 18.3   0.62 / 22.0
+        2.05e8     104     0.71 / 34.8     0.69 / 32.0   0.70 / 22.1
+        4e8        197     1.08 / 34.9     1.02 / 32.0   1.26 / 22.0
+        10**9      483     2.57 / 34.8     2.43 / 32.4   3.20 / 22.0
+
+    Only the peaks of "decided at K", the scan as it is, were measured
+    again once the pattern and `zeros` stopped taking a segment each (2 MiB
+    less); the other figures, and the times, predate that.
 
     A segment whose extra cost exceeds 2 * import / K, about
     6 ms, goes to numpy at once; a scan's first windows, 2**14 integers,
@@ -275,8 +284,9 @@ def _odd_sieve(hi: int):
     pattern = bytearray(b"\1") * _WHEEL
     for p in _WHEEL_PRIMES:  # byte k stands for 1 + 2k
         pattern[p // 2:: p] = bytes(len(range(p // 2, _WHEEL, p)))
-    wheel = memoryview(bytes(pattern) * (most // _WHEEL + 2))  # sliced without a copy
-    zeros = bytearray(most)  # slice assignment copies any value but a bytearray first
+    periods = memoryview(bytes(pattern) * 2)  # any phase's first period is one slice
+    # 17, the least odd number > 1 the pattern keeps, is the least prime it leaves
+    zeros = bytearray(most // (2 * pattern.index(1, 1) + 1) + 2)
     first = bisect_right(base, _WHEEL_PRIMES[-1])  # the primes the pattern leaves
     buf = bytearray()  # a segment's flags, reused: each call overwrites the last one's
 
@@ -287,7 +297,15 @@ def _odd_sieve(hi: int):
         if len(buf) != -(-n // 4) * 4:
             buf = bytearray(-(-n // 4) * 4)
         at = (s // 2) % _WHEEL
-        buf[:n] = wheel[at: at + n]
+        filled = min(n, _WHEEL)
+        buf[:filled] = periods[at: at + filled]
+        with memoryview(buf) as view:
+            # whole periods double in place: the copy of [0, step) to
+            # [filled, filled + step) does not overlap, as step <= filled
+            while filled < n:
+                step = min(filled, n - filled)
+                view[filled: filled + step] = view[:step]
+                filled += step
         buf[n:] = bytes(len(buf) - n)
         if s <= _WHEEL_PRIMES[-1]:
             for p in _WHEEL_PRIMES:

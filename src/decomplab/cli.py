@@ -63,18 +63,18 @@ def _jsonable(obj):
 
 def _elements_payload(values) -> dict:
     """Count, and the elements or, past _LIST_CAP of them, the first and last
-    20; values is a list or an IntegerSet, whose head and tail read only
-    their own elements."""
+    20; values is an ascending array('Q'), sliced for its head and tail, or
+    an IntegerSet, whose head and tail read only their own elements."""
     payload = {"count": len(values)}
     # list(): a tuple or an array would not print as a list in the human report
     if len(values) <= _LIST_CAP:
         payload["elements"] = list(values)
     else:
         payload["elements_omitted"] = True
-        if isinstance(values, list):
-            payload["head"], payload["tail"] = values[:20], values[-20:]
-        else:
+        if hasattr(values, "head"):
             payload["head"], payload["tail"] = list(values.head(20)), list(values.tail(20))
+        else:
+            payload["head"], payload["tail"] = values[:20].tolist(), values[-20:].tolist()
     return payload
 
 

@@ -628,7 +628,9 @@ def _cover_window(s: int, size: int, prime: int):
     """One window [s, e] of the cover walk, on its prime bits: A on
     [s, e - 5] covers [s + 5, e - 5].  Returns the counts there of A (from 1
     in the first window), the cover and the composites (from 9), and the
-    first mismatch."""
+    first mismatch.  Each window-sized int is dropped once used: with fewer
+    of them alive at once, glibc's malloc does not hand the heap's top back
+    to the system after every window, only to fault it in again."""
     halo = COVER_OFFSETS[-1]
     size -= halo  # A's bits: [s, e - 5]
     ones = (1 << size) - 1
@@ -636,13 +638,16 @@ def _cover_window(s: int, size: int, prime: int):
     for off in COVER_OFFSETS[1:]:
         hit |= prime >> off
     base = (hit & ones) ^ ones  # none of n + offsets prime
+    del hit
     covered = 0
     for off in COVER_OFFSETS:
         covered |= base << off
     c0 = max(9 - s, halo)  # the cover is claimed on [9, limit]
     claimed = ones >> c0 << c0
+    del ones
     covered &= claimed
     composite = (prime & claimed) ^ claimed
+    del claimed
     counts = ((base >> (halo if s else 1)).bit_count(), covered.bit_count(),
               composite.bit_count())
     mismatches = covered ^ composite

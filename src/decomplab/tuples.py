@@ -3,6 +3,7 @@ non-coverage witnesses for small part sizes."""
 
 from __future__ import annotations
 
+from array import array
 from functools import partial
 from itertools import accumulate, repeat, starmap
 from operator import add
@@ -94,8 +95,11 @@ def find_constellation(
     hi: int,
     require_composite_center: bool = False,
     require_consecutive: bool = False,
-) -> list[int]:
-    """All n in [lo, hi] with n + u prime for every offset u.
+) -> array:
+    """All n in [lo, hi] with n + u prime for every offset u, ascending, in
+    one array('Q'), 8 bytes a hit.  A hit n >= 0 and n + max(u, 0) lies in
+    a window the prime scan sieved, so n is below its reach, (2**24 + 1)**2,
+    and 'Q' holds it.
 
     Options restrict to composite n, and to patterns whose primes are
     consecutive (no foreign prime strictly between the smallest and largest
@@ -104,12 +108,16 @@ def find_constellation(
     """
     if not is_admissible(t):
         raise ValueError("offsets must form an admissible pattern")
-    return [n for hits in _constellation_scan(t, lo, hi, require_composite_center,
-                                              require_consecutive) for n in hits]
+    hits = array("Q")
+    for window_hits in _constellation_scan(t, lo, hi, require_composite_center,
+                                           require_consecutive):
+        hits += window_hits
+    return hits
 
 
 def _constellation_scan(t, lo, hi, composite_center, consecutive):
-    """find_constellation's hits, one list per window of a lazy prime scan."""
+    """find_constellation's hits, one array('Q') per window of a lazy prime
+    scan."""
     lo = max(lo, 0)
     # 0 is in the span for the composite test
     u_lo, u_hi = min(t.offsets[0], 0), max(t.offsets[-1], 0)
@@ -124,7 +132,7 @@ def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, 
     a = max(lo, s - u_lo)
     count = min(hi, s + size - 1 - u_hi) - a + 1
     if count <= 0:
-        return []
+        return array("Q")
     ok = (1 << count) - 1
     for u in t.offsets:
         ok &= prime >> (a + u - s)
@@ -146,15 +154,16 @@ def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, 
 _NONZERO = bytes([0] + [1] * 255)  # bytes.translate table: every nonzero byte to 1
 
 
-def _set_bits(bits: int, start: int) -> list[int]:
-    """start + i for every set bit i of bits, in increasing order.  The
-    nonzero bytes are found in C: the runs of zero bytes between them give
-    their indices, and deleting the zero bytes gives their values."""
+def _set_bits(bits: int, start: int) -> array:
+    """start + i for every set bit i of bits, in increasing order, in an
+    array('Q').  The nonzero bytes are found in C: the runs of zero bytes
+    between them give their indices, and deleting the zero bytes gives their
+    values."""
     data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
     runs = data.translate(_NONZERO).split(b"\1")[:-1]
     at = accumulate(map(add, map(len, runs), repeat(1)), initial=-1)  # -1, then the indices
     next(at)
-    hits = []
+    hits = array("Q")
     for j, byte in zip(at, data.translate(None, b"\0")):
         base = start + 8 * j
         if byte & (byte - 1):  # two or more bits

@@ -214,6 +214,51 @@ def test_strike_one_full_segment_near_two_to_48():
         assert (bits >> 2 * i) & 1 == is_prime(s + 2 * i), i
 
 
+def _peak_mib(build):
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_prime_scan_works_in_one_segment_of_memory():
+    # a full segment's flags (1 MiB), its bits and the window's: no segment-
+    # long copy of the 3..13 pattern, and zeros only as long as the longest
+    # slice that crosses off a prime past it (n / 17 bytes)
+    peak = _peak_mib(lambda: arith.tally_primes(10**8))
+    assert peak < 3.5, peak
+    # a first window of 2**14 integers costs its own size, whatever the
+    # scan's reach (it sieves base primes for 4 * 10**8)
+    peak = _peak_mib(lambda: next(arith.prime_windows(10**8, 2 * 10**9)))
+    assert peak < 1, peak
+
+
+def test_presieved_segments_at_every_phase_of_the_pattern():
+    # the pattern fills a segment from the phase of s // 2 mod _WHEEL and
+    # doubles; lengths in odd numbers about one and two periods, and a full
+    # segment, against the oracle, pure and under numpy
+    wheel, seg = arith._WHEEL, SEGMENT_BITS
+    starts = [2 * (q * wheel + r) + 1 for q, r in ((0, 0), (0, 1), (0, 6), (1, wheel // 3),
+                                                   (2, wheel // 2), (3, wheel - 8),
+                                                   (4, wheel - 1), (5, 0))]
+    lengths = (1, wheel - 1, wheel, wheel + 1, 2 * wheel + 1, seg)
+    top = max(starts) + 2 * seg
+    want_flags = prime_flags(top)
+    flags, strike = arith._odd_sieve(top)
+    for s in starts:
+        for n in lengths:
+            e = s + 2 * (n - 1)
+            want = bytes(want_flags[s: e + 1: 2])
+            spread = np.zeros(e - s + 1, dtype=np.uint8)  # byte 2k for s + 2k
+            spread[::2] = np.frombuffer(want, dtype=np.uint8)
+            want_bits = int.from_bytes(np.packbits(spread, bitorder="little").tobytes(), "little")
+            got = flags(s, e)
+            assert got[:n] == want and not any(got[n:]) and len(got) % 4 == 0, (s, n)
+            assert strike(s, e) == strike(s, e, bulk=True) == want_bits, (s, n)
+
+
 def test_sieve_window_across_two_to_48():
     lo = 2**48 - 2000
     got = _scan_mask(lo, 2**48 + 2000)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from decomplab import (
@@ -76,17 +78,18 @@ def test_select_triple_validation():
 
 
 def test_find_constellation_twin_pattern():
-    assert find_constellation(offs(-1, 1), 3, 10, require_composite_center=True) == [4, 6]
+    got = find_constellation(offs(-1, 1), 3, 10, require_composite_center=True)
+    assert got.typecode == "Q" and got.tolist() == [4, 6]
 
 
 def test_find_constellation_cousin_consecutive():
     got = find_constellation(offs(-2, 2), 3, 20, require_composite_center=True,
                              require_consecutive=True)
-    assert got == [9, 15]  # 7,11 and 13,17 are consecutive prime pairs
+    assert got.tolist() == [9, 15]  # 7,11 and 13,17 are consecutive prime pairs
 
 
 def test_find_constellation_triple_pattern():
-    assert find_constellation(offs(0, 2, 6), 1, 20) == [5, 11, 17]
+    assert find_constellation(offs(0, 2, 6), 1, 20).tolist() == [5, 11, 17]
 
 
 def test_find_constellation_against_naive():
@@ -96,7 +99,7 @@ def test_find_constellation_against_naive():
             n for n in range(1, 501)
             if all(n + u >= 2 and naive_is_prime(n + u) for u in t.offsets)
         ]
-        assert got == want, t.offsets
+        assert got.tolist() == want, t.offsets
 
 
 def test_consecutive_filter_is_a_subset():
@@ -128,7 +131,7 @@ def test_find_constellation_far_windows_match_naive_scan():
             got = find_constellation(offs(*offsets), lo, lo + 1500, require_composite_center=center,
                                      require_consecutive=consecutive)
             want = naive_constellation(offsets, lo, lo + 1500, is_prime, center, consecutive)
-            assert got == want, (lo, offsets)
+            assert got.tolist() == want, (lo, offsets)
 
 
 def test_find_constellation_across_segment_edges(monkeypatch):
@@ -142,7 +145,7 @@ def test_find_constellation_across_segment_edges(monkeypatch):
                                              require_composite_center=center,
                                              require_consecutive=consecutive)
                     want = naive_constellation(offsets, lo, hi, is_prime, center, consecutive)
-                    assert got == want, (lo, offsets, center, consecutive)
+                    assert got.tolist() == want, (lo, offsets, center, consecutive)
 
 
 def test_find_constellation_dense_hits_across_window_edges(monkeypatch):
@@ -152,7 +155,22 @@ def test_find_constellation_dense_hits_across_window_edges(monkeypatch):
     for offsets in ((0,), (-3,), (5,), (-2, 0), (0, 4)):
         for center in (False, True):
             got = find_constellation(offs(*offsets), 0, 1500, require_composite_center=center)
-            assert got == naive_constellation(offsets, 0, 1500, is_prime, center), offsets
+            assert got.tolist() == naive_constellation(offsets, 0, 1500, is_prime, center), offsets
+
+
+def test_find_constellation_holds_hits_at_eight_bytes_each():
+    # 102,238 consecutive hits: about 0.8 MiB as array('Q') on top of the
+    # scan's one segment, where a list of ints would take 3.5 MiB more
+    tracemalloc.start()
+    try:
+        hits = find_constellation(offs(0, 6), 12453559, 24907118, require_consecutive=True)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 5, peak
+    assert hits.typecode == "Q" and len(hits) == 102238
+    assert hits[0] == 12453647 and hits[-1] == 24907117
+    assert all(a < b for a, b in zip(hits, hits[1:]))
 
 
 def test_find_constellation_rejects_inadmissible():

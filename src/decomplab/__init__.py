@@ -11,10 +11,19 @@ The layers' frozen records (PrimeSieve, GammaSemigroup, the reports, ...)
 derive from _Record, a plain class with __slots__ that gives them equality,
 hashing, immutability, copying and a repr with no generated code: a
 generator of record classes would import inspect, ast and tokenize, about
-12 ms of every command's start-up."""
+12 ms of every command's start-up.
+
+Beside _Record sits the layers' one packed-bits codec: bits are an int whose
+bit i stands for start + i, flags hold one byte per integer, 1 for a member.
+_flags spreads bits to flags, _pack packs flags to bits, and _unpack reads
+the set bits into an array in one of three ways, chosen by their density."""
 
 import importlib.util
+import re
 import sys
+from array import array
+from itertools import accumulate, compress, count, repeat
+from operator import add
 
 __version__ = "0.1.0"
 
@@ -144,6 +153,67 @@ class _Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__
                            if name != "transcript")
         return f"{type(self).__qualname__}({fields})"
+
+
+_SLICE = 1 << 16  # bytes handled at a time: of bits spread, of a cache file, of smooth flags
+_WALK = 11  # bits with fewer than 1 nonzero byte in _WALK are walked, not spread to flags
+_NONZERO = b"\0" + b"\1" * 255  # bytes.translate table: every nonzero byte to 1
+_BIT_TABLES = [(bytes(1 << j) + b"\1" * (1 << j)) * (128 >> j) for j in range(8)]
+
+
+def _flags(data, start: int, size: int) -> bytearray:
+    """At least size bytes, byte i 1 when start + i is in data: an ascending array,
+    or bits as an int or its bytes (table j spreads bit j of each byte to a byte)."""
+    if type(data) is int:
+        data = data.to_bytes((data.bit_length() + 7) // 8, "little")
+    elif type(data) is not bytes:
+        flags = bytearray(size)
+        for v in data:
+            flags[v - start] = 1
+        return flags
+    flags = bytearray(max(size, 8 * len(data)))
+    for j, table in enumerate(_BIT_TABLES):
+        flags[j: 8 * len(data): 8] = data.translate(table)
+    return flags
+
+
+def _pack(flags, step: int = 1) -> int:
+    """0/1 flags as bits, flag k on bit step * k (step 2: a segment of odd numbers)."""
+    per = 8 // step  # flags[j::per] lands on bit step * j of each byte
+    bits = int.from_bytes(flags[::per], "little")  # not from 0: 0 | x would copy x
+    for j in range(1, per):
+        bits |= int.from_bytes(flags[j::per], "little") << step * j
+    return bits
+
+
+def _unpack(bits: int, start: int) -> array:
+    """{start + i : bit i of bits is set} in an array('Q'): below 1 nonzero byte in
+    _WALK (about 1 bit in 85) those are walked, else spread a _SLICE at a time."""
+    raw = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
+    hits = array("Q")
+    if _WALK * len(nonzero := raw.translate(None, b"\0")) >= len(raw):
+        search = 8 * bits.bit_count() < bits.bit_length()  # under 1/8 set, a search is faster
+        for a in range(0, len(raw), _SLICE):
+            _gather(hits, _flags(raw[a: a + _SLICE], 0, 0), start + 8 * a, search)
+        return hits
+    runs = map(len, raw.translate(_NONZERO).split(b"\1")[:-1])  # the zero runs between
+    start -= 8  # the j below is 1 + the index of a nonzero byte
+    for j, byte in zip(accumulate(map(add, runs, repeat(1))), nonzero):
+        base = start + 8 * j
+        if byte & (byte - 1):  # two or more bits
+            hits.extend(base + k for k in range(8) if byte >> k & 1)
+        else:
+            hits.append(base + byte.bit_length() - 1)
+    return hits
+
+
+def _gather(hits: array, flags, start: int, search: bool) -> array:
+    """hits extended by start + i per set byte i of flags, searched for or compressed."""
+    if search:
+        hits.extend(m.start() + start for m in re.finditer(b"\1", flags))
+    else:
+        hits.extend(compress(count(start), flags))
+    return hits
 
 
 def _register(layer: str):

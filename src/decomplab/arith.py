@@ -6,14 +6,13 @@ import contextlib
 import io
 import math
 import os
-import re
 import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from itertools import compress, count
+from itertools import compress
 
-from . import _Record, sets
+from . import _SLICE, _Record, _flags, _gather, _pack, _unpack, sets
 
 MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
 _U64 = 1 << 64
@@ -28,7 +27,6 @@ SEGMENT_BITS = 1 << 20  # odd numbers per sieve segment: 1 MiB of flags, 2**21 i
 _BASE_PRIME_LIMIT = 1 << 24  # largest base prime, so windows reach 2**48
 _DEFAULT_SIEVE_BUDGET = 1 << 31  # bytes of packed bits
 _SIEVE_MAGIC = b"PSV1"
-_SLICE = 1 << 16  # bytes of a sieve's bits, or of smooth flags, handled at a time
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # pre-sieved: every segment starts from their pattern
 _WHEEL = 3 * 5 * 7 * 11 * 13  # odd numbers in one period of the pattern
 _NUMPY_PRIMES = 30000  # a segment struck with more base primes goes to numpy (M)
@@ -337,7 +335,7 @@ def _odd_sieve(hi: int):
         top = bisect_right(base, math.isqrt(e))
         if bulk or top > _NUMPY_PRIMES:
             return _strike_numpy(presieved(s, e), s, base[first: top])
-        return _pack_odd(flags(s, e))
+        return _pack(flags(s, e), 2)
 
     return flags, strike
 
@@ -388,14 +386,6 @@ def _base_primes(root: int) -> array:
             else:
                 base.extend(compress(range(a, e + 1, 2), flags(a, e)))
     return base
-
-
-def _pack_odd(flags: bytearray) -> int:
-    """The odd flags as bits: bit 2k is set when flags[k] is.  flags[j::4]
-    puts flag 4i + j on bit 8i, so each is shifted by 2j."""
-    return (int.from_bytes(flags[0::4], "little") | int.from_bytes(flags[1::4], "little") << 2
-            | int.from_bytes(flags[2::4], "little") << 4
-            | int.from_bytes(flags[3::4], "little") << 6)
 
 
 def prime_windows(lo: int, hi: int, overlap: int = 0):
@@ -653,11 +643,11 @@ def _smooth_flags(policy: SmoothnessPolicy, top: int) -> bytearray:
         flags = bytearray(b"\1") * (top + 1)
         flags[0] = 0
         for w in prime_windows(free + 1, y):
-            for p in compress(count(w.start), sets._flags(w.bits, w.start, w.size)):
+            for p in _unpack(w.bits, w.start):
                 c = cut(p)
                 flags[p: (c - 1) * p + 1: p] = bytes(c - 1)
         for w in prime_windows(y + 1, top):
-            keep = int.from_bytes(sets._flags(w.bits, w.start, w.size).translate(_NOT), "little")
+            keep = int.from_bytes(_flags(w.bits, w.start, w.size).translate(_NOT), "little")
             for j in range(1, top // w.start + 1):
                 end = min(w.start + w.size - 1, top // j)
                 part = slice(j * w.start, j * end + 1, j)
@@ -701,9 +691,8 @@ def _smooth_over(policy: SmoothnessPolicy, top: int, shift: int) -> sets.Integer
         return sets.IntegerSet(composite_bits(1 - shift, top), 1, top + shift)
     flags = _smooth_flags(policy, top)
     if 64 * flags.count(1) > top:
-        return sets.IntegerSet(sets._pack(flags) << shift >> 1, 1, top + shift)
-    found = re.finditer(b"\1", flags)
-    return sets.IntegerSet(array("Q", (m.start() + shift for m in found)), 1, top + shift)
+        return sets.IntegerSet(_pack(flags) << shift >> 1, 1, top + shift)
+    return sets.IntegerSet(_gather(array("Q"), flags, shift, True), 1, top + shift)
 
 
 def smooth_set(policy: SmoothnessPolicy, limit: int) -> sets.IntegerSet:

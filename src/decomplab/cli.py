@@ -2,13 +2,14 @@
 
 Exit codes: 0 = verified / witness found / enumeration done, 1 = a check
 failed or the scan contradicts the predicted outcome, 2 = inconclusive
-(nothing found below the stated bound), 3 = refused at a resource limit,
-64 = usage error.
+(nothing found below the stated bound), 3 = refused at a resource limit
+or out of disk space, 64 = usage error.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import sys
@@ -442,12 +443,14 @@ def run(argv) -> int:
         try:
             code, result, witnesses = args.func(args)
         except (ValueError, OSError) as exc:
+            if getattr(exc, "errno", None) in (errno.ENOSPC, errno.EDQUOT):
+                raise MemoryError(str(exc))
             raise _UsageError(str(exc))
         elapsed = int((time.perf_counter() - started) * 1000)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except MemoryError as exc:  # ResourceLimitError, or an allocation that failed
+    except MemoryError as exc:  # ResourceLimitError, an allocation that failed, a full disk
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     report = {

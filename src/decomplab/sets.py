@@ -3,17 +3,16 @@ exhaustive windowed decomposition searcher."""
 
 from __future__ import annotations
 
-import re
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import compress, count, islice, starmap
+from itertools import islice, starmap
 from operator import lt
 
-from . import _Record
+from . import _Record, _flags, _pack, _unpack
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
-_WRITE_SLICE = 1 << 12  # elements save_text formats at a time
+_WRITE_SLICE = 1 << 12  # elements, or integers of a bits-form window, save_text formats at a time
 
 
 class WindowError(ValueError):
@@ -53,15 +52,14 @@ class IntegerSet:
 
     The elements have one of two forms, the array-or-bitmap choice of
     Roaring bitmaps (Chambi, Lemire, Kaser and Godin, SPE 2016).  The array
-    form is one array('Q'), 8 bytes per element.  The bits form is one
-    Python int whose bit i stands for window_lo + i, 1 bit per integer of the
-    window: the prime scan's layout, taken by composite sets, by the dense
-    searches' complements and by smooth sets above density 1/64, where the
-    bits form is the smaller.  Both forms answer len, in, slice, head, tail,
-    iteration, as_mask and save_text alike, and two sets are equal when
-    their windows and elements are, whatever their forms.  `elements` is the
-    array; a bits-form set unpacks it anew on each read, so take count, head
-    and tail from len, head and tail.
+    form is one array('Q'), 8 bytes per element.  The bits form is the
+    codec's bits from window_lo (see decomplab), 1 bit per integer of the
+    window, taken by composite sets, the dense searches' complements and
+    smooth sets above density 1/64.  Both forms answer len, in, slice, head,
+    tail, iteration, as_mask and save_text alike, and two sets are equal
+    when their windows and elements are, whatever their forms.  `elements`
+    is the array; a bits-form set unpacks it anew on each read, so take
+    count, head and tail from len, head and tail.
 
     The constructor takes an int as the bits form: IntegerSet(bits, lo, hi)
     is {lo + i : bit i of bits is set}.  Any other sequence is checked in
@@ -204,25 +202,24 @@ class IntegerSet:
         """Dense membership mask over [0, window_hi]."""
         import numpy as np
         check_mask_budget(self.window_hi)
-        mask = np.zeros(self.window_hi + 1, dtype=bool)
-        data = self._data
-        if type(data) is int:
-            n = data.bit_length()
-            packed = np.frombuffer(data.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-            lo = self.window_lo
-            mask[lo: lo + n] = np.unpackbits(packed, count=n, bitorder="little").view(bool)
-        elif len(data):
-            mask[np.frombuffer(data, dtype=np.uint64)] = True
-        return mask
+        data, size = self._data, self.window_hi + 1
+        flags = _flags(data << self.window_lo if type(data) is int else data, 0, size)
+        return np.frombuffer(flags, dtype=bool)[:size]
 
     def save_text(self, path) -> None:
-        """Text format: header "# window lo hi", then one integer per line."""
-        elems = self.elements
+        """Text format: header "# window lo hi", then one integer per line.  The
+        bits form is unpacked a slice at a time: its array is never built."""
+        data, lo = self._data, self.window_lo
+        if type(data) is int:
+            raw, step = data.to_bytes((data.bit_length() + 7) // 8, "little"), _WRITE_SLICE // 8
+            parts = (_unpack(int.from_bytes(raw[a: a + step], "little"), lo + 8 * a)
+                     for a in range(0, len(raw), step))
+        else:
+            parts = (data[a: a + _WRITE_SLICE] for a in range(0, len(data), _WRITE_SLICE))
         with open(path, "w") as fh:
-            fh.write(f"# window {self.window_lo} {self.window_hi}\n")
-            for a in range(0, len(elems), _WRITE_SLICE):
-                part = tuple(elems[a: a + _WRITE_SLICE])
-                fh.write("%d\n" * len(part) % part)
+            fh.write(f"# window {lo} {self.window_hi}\n")
+            for part in parts:
+                fh.write("%d\n" * len(part) % tuple(part))
 
     @classmethod
     def load_text(cls, path) -> "IntegerSet":
@@ -245,43 +242,6 @@ class IntegerSet:
         if not all(map(lt, values, islice(values, 1, None))):
             return cls.from_values(values, lo, hi)
         return cls(values, lo, hi)
-
-
-_BIT_TABLES: list[bytes] = []  # table j maps a byte to its bit j; built on first use
-
-
-def _flags(data, start: int, size: int) -> bytearray:
-    """At least size bytes, byte i 1 when start + i is an element of data: an
-    ascending array, or bits with bit i for start + i.  Table j spreads bit j
-    of every byte of the bits to a byte of its own."""
-    if type(data) is not int:
-        flags = bytearray(size)
-        for v in data:
-            flags[v - start] = 1
-        return flags
-    if not _BIT_TABLES:
-        _BIT_TABLES.extend(bytes(b >> j & 1 for b in range(256)) for j in range(8))
-    raw = data.to_bytes((data.bit_length() + 7) // 8, "little")
-    flags = bytearray(max(size, 8 * len(raw)))
-    for j, table in enumerate(_BIT_TABLES):
-        flags[j: 8 * len(raw): 8] = raw.translate(table)
-    return flags
-
-
-def _pack(flags) -> int:
-    """0/1 flags as bits: flags[j::8] puts flag 8i + j on bit 8i."""
-    return sum(int.from_bytes(flags[j::8], "little") << j for j in range(8))
-
-
-def _unpack(bits: int, start: int) -> array:
-    """{start + i : bit i of bits is set} as an ascending array('Q').  Where
-    fewer than 1/8 of the integers the bits span are set, a search for the
-    set bytes reads them fastest; denser bits go through compress, at
-    about 45 ns per integer spanned."""
-    flags = _flags(bits, start, 0)
-    if 8 * bits.bit_count() < bits.bit_length():
-        return array("Q", (m.start() + start for m in re.finditer(b"\1", flags)))
-    return array("Q", compress(count(start), flags))
 
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:

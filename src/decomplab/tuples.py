@@ -5,10 +5,9 @@ from __future__ import annotations
 
 from array import array
 from functools import partial
-from itertools import accumulate, repeat, starmap
-from operator import add
+from itertools import starmap
 
-from . import _Record
+from . import _Record, _unpack
 from .arith import is_composite, is_prime, prime_windows
 
 
@@ -148,29 +147,7 @@ def _constellation_window(t, lo, hi, u_lo, u_hi, composite_center, consecutive, 
                 break
             if v not in inner:
                 ok &= ~(prime >> (a + v - s))
-    return _set_bits(ok, a)
-
-
-_NONZERO = bytes([0] + [1] * 255)  # bytes.translate table: every nonzero byte to 1
-
-
-def _set_bits(bits: int, start: int) -> array:
-    """start + i for every set bit i of bits, in increasing order, in an
-    array('Q').  The nonzero bytes are found in C: the runs of zero bytes
-    between them give their indices, and deleting the zero bytes gives their
-    values."""
-    data = bits.to_bytes((bits.bit_length() + 7) // 8, "little")
-    runs = data.translate(_NONZERO).split(b"\1")[:-1]
-    at = accumulate(map(add, map(len, runs), repeat(1)), initial=-1)  # -1, then the indices
-    next(at)
-    hits = array("Q")
-    for j, byte in zip(at, data.translate(None, b"\0")):
-        base = start + 8 * j
-        if byte & (byte - 1):  # two or more bits
-            hits.extend(base + k for k in range(8) if byte >> k & 1)
-        else:
-            hits.append(base + byte.bit_length() - 1)
-    return hits
+    return _unpack(ok, a)
 
 
 class AdditiveWitness(_Record):

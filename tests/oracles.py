@@ -32,6 +32,18 @@ def prime_flags(limit):
     return flags
 
 
+def window_prime_flags(lo, hi):
+    """bytearray whose byte i is 1 exactly when lo + i is prime, for lo + i
+    <= hi: the window with the multiples of every prime up to isqrt(hi)
+    crossed off, from p * p on."""
+    flags = bytearray([1]) * (hi - lo + 1)
+    flags[: max(2 - lo, 0)] = bytes(max(2 - lo, 0))
+    for p in naive_sieve(isqrt(hi)):
+        first = max(p * p, -(-lo // p) * p) - lo
+        flags[first:: p] = bytes(len(range(first, len(flags), p)))
+    return flags
+
+
 def naive_sieve(limit):
     flags = prime_flags(limit)
     return [n for n in range(limit + 1) if flags[n]]
@@ -70,6 +82,18 @@ def composite_cover_reports(limits, offsets=(0, 1, 3, 5)):
                 "offsets": list(offsets),
             }
     return reports
+
+
+def naive_unpack(bits, start):
+    """start + i for every set bit i of bits, one binary digit at a time."""
+    return [start + i for i, digit in enumerate(reversed(bin(bits))) if digit == "1"]
+
+
+def naive_pack(flags, step=1):
+    """Flags as bits, bit step * k set when flags[k] is, one binary digit at
+    a time."""
+    gap = "0" * (step - 1)
+    return int("0" + "".join(gap + ("1" if flag else "0") for flag in reversed(flags)), 2)
 
 
 def naive_factorize(n):

@@ -1,4 +1,5 @@
 import argparse
+import errno
 import json
 import os
 import subprocess
@@ -786,6 +787,33 @@ def test_report_that_cannot_be_written_is_a_resource_error(mode):
     assert proc.returncode == EXIT_RESOURCE
     assert proc.stderr.startswith("error: cannot write the report: ")
     assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_set_file_on_a_full_disk_is_a_resource_error(capsys):
+    argv = ["smooth", "--policy", "composites", "--limit", "100", "--out", "/dev/full"]
+    assert run(argv) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 28] No space left on device\n"
+
+
+def test_cache_on_a_full_disk_is_a_resource_error(tmp_path, capsys, monkeypatch):
+    from decomplab import arith
+
+    def full_disk(limit, write):
+        def fail(data):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return scanned(limit, fail)
+
+    scanned = arith._scanned
+    monkeypatch.setattr(arith, "_scanned", full_disk)
+    cache = tmp_path / "s.psv"
+    assert run(["sieve", "--limit", "100000", "--cache", str(cache)]) == EXIT_RESOURCE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+    assert list(tmp_path.iterdir()) == []  # the part file is gone, and no cache is left
 
 
 def test_human_output_and_entry_point(capsys):

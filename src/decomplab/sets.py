@@ -5,14 +5,15 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import islice, starmap
-from operator import lt
+from itertools import chain, islice, starmap
+from operator import contains, lt
 
 from . import _Record, _flags, _pack, _unpack
 
 VALUE_CAP = 1 << 63
 MASK_BUDGET = 1 << 28  # largest window a dense boolean mask may span
 _WRITE_SLICE = 1 << 12  # elements, or integers of a bits-form window, save_text formats at a time
+_READ_SLICE = 1 << 13  # characters load_text parses at a time
 
 
 class WindowError(ValueError):
@@ -223,25 +224,82 @@ class IntegerSet:
 
     @classmethod
     def load_text(cls, path) -> "IntegerSet":
-        """Reads the text format straight into one array('Q').  Values that
-        do not strictly increase are sorted and deduplicated by from_values,
-        and so is a file with a value below 0 or past 2**64, which the array
-        cannot hold, so that it fails with from_values' ValueError."""
+        """Reads the text format a slice of _READ_SLICE characters at a time,
+        into the form the smooth sets take.  While the values number at most
+        1/64 of the window they go into one array('Q'), and an array that
+        does not strictly increase is sorted and deduplicated by from_values.
+        Once they pass 1/64, on a window no wider than MASK_BUDGET, the
+        values so far and every slice after them are set in bits, one slice
+        at a time: neither the whole array nor flags over the whole window
+        are ever held, and bits, like from_values, ignore order and repeats.
+        A value that the array cannot hold (below 0 or past 2**64) or that
+        lies outside the bits' window sends the file through from_values
+        instead, so that it fails with from_values' ValueError."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 4 or header[0] != "#" or header[1] != "window":
                 raise ValueError(f"{path}: missing '# window lo hi' header")
             lo, hi = int(header[2]), int(header[3])
-            values = array("Q")
+            width = hi - lo + 1
+            fits = 0 <= lo <= hi and width <= MASK_BUDGET  # a window the bits form may take
+            values, slices = array("Q"), _text_slices(fh)
             try:
-                values.extend(map(int, filter(str.strip, fh)))
+                for part in slices:
+                    values.extend(part)
+                    if fits and 64 * len(values) > width:
+                        break
+                else:
+                    if all(map(lt, values, islice(values, 1, None))):
+                        return cls(values, lo, hi)
+                    return cls.from_values(values, lo, hi)
             except OverflowError:
-                fh.seek(0)
-                fh.readline()
-                return cls.from_values(map(int, filter(str.strip, fh)), lo, hi)
-        if not all(map(lt, values, islice(values, 1, None))):
-            return cls.from_values(values, lo, hi)
-        return cls(values, lo, hi)
+                pass
+            else:
+                bits, top = bytearray((width + 7) // 8), min(hi, VALUE_CAP)
+                step = _READ_SLICE // 8  # about as many values as a slice of text holds
+                head = (values[a: a + step].tolist() for a in range(0, len(values), step))
+                if all(_set_bits(bits, part, lo, top) for part in chain(head, slices)):
+                    return cls(int.from_bytes(bits, "little"), lo, hi)
+            fh.seek(0)
+            fh.readline()
+            return cls.from_values(map(int, filter(str.strip, fh)), lo, hi)
+
+
+def _text_slices(fh):
+    """The integers on the lines left in fh, one list per _READ_SLICE
+    characters read; blank lines are skipped, and slices of nothing else."""
+    rest = ""
+    while True:
+        text = fh.read(_READ_SLICE)
+        lines = (rest + text).split("\n")
+        rest = lines.pop() if text else ""
+        try:
+            part = list(map(int, lines))
+        except ValueError:  # a blank line; a line that is no integer raises again
+            part = list(map(int, filter(str.strip, lines)))
+        if part:
+            yield part
+        if not text:
+            return
+
+
+def _set_bits(bits: bytearray, part: list, lo: int, top: int) -> bool:
+    """Sets bit v - lo of bits for each v of part, in any order, or returns
+    False, with bits partly set, when a v lies outside [lo, top]."""
+    a, z = min(part), max(part)
+    if a < lo or z > top:
+        return False
+    k = (a - lo) >> 3  # the byte of bits that holds a
+    base = lo + 8 * k
+    if z - base < 32 * len(part):  # flags over the span: at most 4 times part as an array
+        n = ((z - base) >> 3) + 1
+        spread = _pack(_flags(part, base, z - base + 1))
+        bits[k: k + n] = (int.from_bytes(bits[k: k + n], "little") | spread).to_bytes(n, "little")
+    else:  # sparser than 1/32 here, where one value at a time is faster
+        for v in part:
+            v -= lo
+            bits[v >> 3] |= 1 << (v & 7)
+    return True
 
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:
@@ -333,29 +391,29 @@ def decompose_search(
 
     Two paths give the same candidates, and neither imports numpy.  The
     dense path works over the whole window [0, hi], so each part costs
-    passes over all of it: additive searches on ints of bits,
-    multiplicative ones on one byte per integer and ints of those bytes.
+    passes over all of it: both kinds on ints of bits, multiplicative ones
+    gathering their multiples from one byte per integer of the window.
     The sparse path works on the target's elements.  It is taken when
     64 * (|target| + lo) <= hi: the target and the free range below the
     window fill at most 1/64 of it.  The factor comes from timing both
     paths in process on one machine, when every part rebuilt its c from
-    scratch.  Re-timed with the walk of _search, on 2 CPUs
-    (window / (|target| + lo) in brackets; dense, then sparse):
+    scratch.  Re-timed with the walk of _search and its witnesses, on 2
+    CPUs (window / (|target| + lo) in brackets; dense, then sparse):
       - sum families, as mprim-scan searches them with parts
         (max_b_size, max_b_elem) = (3, 100): h_family {2,3,5}, k <= 3 at
-        1e5 [21] 1.4 s, 0.93 s; at 1e6 [118] 1.9 s, 1.1 s; {3,5}, k <= 3
-        at 1e6 [2632] 0.047 s, 0.012 s;
+        1e5 [21] 0.20 s, 0.43 s; at 1e6 [118] 0.74 s, 0.94 s; {3,5},
+        k <= 3 at 1e6 [2632] 0.023 s, 0.010 s;
       - random additive targets at 1e6 (a uniform sample, lo = 0), parts
-        (3, 16): [64] 0.041 s, 0.018 s; [256] 0.012 s, 0.004 s; (4, 8) at
-        [1024] 0.002 s, under 0.001 s;
+        (3, 16): [64] 0.017 s, 0.018 s; [256] 0.013 s, 0.004 s; (4, 8) at
+        [1024] 0.003 s, under 0.001 s;
       - smooth sets, whose elements share many small divisors: the log
-        policy with factor 2.5, parts (3, 20), at 4e5 [44] 0.11 s,
-        0.48 s; at 1e6 [66] 0.26 s, 0.89 s; at 1e7 [195] 3.1 s, 4.3 s.
-    The walk moved the crossover down: the sparse path now wins on sum
-    families from [21] (the size loop crossed between [21] and [118]) and
-    on random targets from [64] (it crossed near [256]).  Smooth sets
-    still favour the dense path up to [195], as they did up to [288].  The
-    factor is kept as it was tuned.
+        policy with factor 2.5, parts (3, 20), at 4e5 [44] 0.042 s,
+        0.49 s; at 1e6 [66] 0.10 s, 0.84 s; at 1e7 [195] 1.0 s, 3.7 s.
+    The witnesses moved the sum families' crossover back up: the dense
+    path now wins on them at [21] and [118], and the sparse path at
+    [2632].  Random targets cross near [64], and smooth sets favour the
+    dense path up to [195].  The factor is kept as it was tuned, so a sum
+    family at [118] takes the slower path.
     Either way a window above MASK_BUDGET is refused.
 
     Only parts with |b| <= max_b_size are visible: a decomposition whose both
@@ -387,22 +445,34 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
     sorted.  Since c(b + beta) = c(b) & S_beta, each part narrows its
     prefix's c once; and since c only shrinks, a prefix with fewer than two
     c has no accepted extension, so its subtree is skipped.  The stack keeps
-    one frame per level (prefix, its c, the pool indices left), not Python
-    frames, so a deep tree cannot reach the recursion limit.
+    one frame per level (prefix, its c, the pool indices left, its
+    witness), not Python frames, so a deep tree cannot reach the recursion
+    limit.
+
+    A rejected part hands a witness to its subtree: a target element t of
+    the core, [lo (+|*) M, hi (-|//) M] for the pool's largest M, or
+    [lo, hi] with full_window, which lies in every part's cover window.  No
+    beta of the part covers t, and a descendant's c is a subset of the
+    part's, so only the descendant's own new beta can: the descendant is
+    rejected, and keeps t, unless beta (+|*) x = t for some x in its c.
+    Only then is its cover checked in full.
 
     The path, path(target, additive, c_min), gives start, the c of the root
-    ((0,) or the empty part), and four steps: divides(d), whether d divides
+    ((0,) or the empty part), and five steps: divides(d), whether d divides
     a target element (read by multiplicative searches only);
     narrow(c, beta), c & S_beta, where S_beta holds the c whose combination
     with beta lands in the target or below the window, or None when fewer
-    than two remain; covers(b, c, cover_lo, cover_hi), whether b (+|*) c
-    holds every target element there; and as_set(c, climit), c as an
-    IntegerSet on [c_min, climit], climit = hi (-|//) max b.
+    than two remain; covers(b, c, cover_lo, cover_hi, core_lo, core_hi),
+    None when b (+|*) c holds every target element of [cover_lo, cover_hi],
+    else the least one it misses in [core_lo, core_hi] if there is one, or
+    the least it misses; has(c, x), whether x is in c; and as_set(c,
+    climit), c as an IntegerSet on [c_min, climit], climit = hi (-|//)
+    max b.
     """
     lo, hi = target.window_lo, target.window_hi
     additive = kind == "additive"
     c_min = 0 if additive else 1
-    start, divides, narrow, covers, as_set = path(target, additive, c_min)
+    start, divides, narrow, covers, has, as_set = path(target, additive, c_min)
     # parts above hi are not tried: an additive one leaves climit < 0, and no
     # d > hi divides a target element
     top = min(max_b_elem, hi)
@@ -410,25 +480,39 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
         head, pool = (0,), range(1, top + 1)
     else:
         head, pool = (), [d for d in range(1, top + 1) if divides(d)]
+    largest = pool[-1] if pool else 1  # every part's cover window holds the core
+    if full_window:
+        core_lo, core_hi = lo, hi
+    elif additive:
+        core_lo, core_hi = lo + largest, hi - largest
+    else:
+        core_lo, core_hi = lo * largest, hi // largest
 
     accepted: list[DecompositionCandidate] = []
-    stack = [(head, start, iter(range(len(pool))))]
+    stack = [(head, start, iter(range(len(pool))), None)]
     while stack:
-        prefix, c, rest = stack[-1]
+        prefix, c, rest, t = stack[-1]
         for i in rest:
             beta = pool[i]
             cb = narrow(c, beta)
             if cb is None:
                 continue
-            b = prefix + (beta,)
-            if len(b) >= 2:
+            b, witness = prefix + (beta,), t
+            if t is not None and (t - beta >= 0 and has(cb, t - beta) if additive
+                                  else t % beta == 0 and has(cb, t // beta)):
+                witness = None  # beta covers t: check in full
+            if len(b) >= 2 and witness is None:
                 edge, climit = (lo + beta, hi - beta) if additive else (lo * beta, hi // beta)
                 cover_lo, cover_hi = (lo, hi) if full_window else (edge, climit)
-                if cover_lo > cover_hi or covers(b, cb, cover_lo, cover_hi):
+                if cover_lo <= cover_hi:
+                    witness = covers(b, cb, cover_lo, cover_hi, core_lo, core_hi)
+                if witness is None:
                     accepted.append(DecompositionCandidate(kind, b, as_set(cb, climit),
                                                            (cover_lo, cover_hi)))
+                elif not core_lo <= witness <= core_hi:
+                    witness = None
             if len(b) < max_b_size:
-                stack.append((b, cb, iter(range(i + 1, len(pool)))))
+                stack.append((b, cb, iter(range(i + 1, len(pool))), witness))
                 break
         else:
             stack.pop()
@@ -436,25 +520,30 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
 
 
 def _dense_path(target: IntegerSet, additive: bool, c_min: int):
-    """_search's steps over the whole window [0, hi].
+    """_search's steps over the whole window [0, hi], on ints of bits, bit i
+    standing for i, with no numpy either way.
 
-    Additive: on ints of bits, bit i standing for i.  allowed is the target
-    T plus [0, lo - 1], the images free below the window, and start, the c
-    of (0,); narrow ANDs c with allowed >> beta, which ends c at
-    hi - beta = climit, as beta is the part's largest; b covers
-    [cover_lo, cover_hi] when T AND that window AND NOT the OR of c << beta
-    is 0; and c becomes a bits-form IntegerSet.  divides is None: additive
-    parts are not drawn from divisors.
+    Additive: allowed is the target T plus [0, lo - 1], the images free
+    below the window, and start, the c of (0,); narrow ANDs c with
+    allowed >> beta, which ends c at hi - beta = climit, as beta is the
+    part's largest; the gaps of [cover_lo, cover_hi] are T AND that window
+    AND NOT the OR of c << beta; and c becomes a bits-form IntegerSet.
+    divides is None: additive parts are not drawn from divisors.
 
-    Multiplicative: on flags, one byte per integer of [0, hi], so that
-    allowed[::beta] gathers the multiples of beta in one slice, and on ints
-    of those bytes.  allowed is T plus [1, lo - 1], and S_beta is q(beta),
-    the int of allowed[::beta], cached by divides for each d of the pool.
-    start is None, the c of the empty part: narrow(None, beta) returns
-    q(beta) itself, shared and not copied, and otherwise ANDs c with it,
-    which ends c at climit.  The cover ORs c into every beta-th byte.  No
-    numpy either way."""
+    Multiplicative: allowed is one byte per integer of [0, hi], 1 for T
+    and [1, lo - 1], so that allowed[::beta] gathers the multiples of beta
+    in one slice; from lo on it is T's flags, which is all that divides
+    and covers read.  S_beta is q(beta), the bits of allowed[::beta],
+    packed by divides for each d of the pool.  start is None, the c of the
+    empty part: narrow(None, beta) returns q(beta) itself, shared and not
+    copied, and otherwise ANDs c with it, which ends c at climit.  covers
+    spreads c to flags, ORs them into every beta-th byte, and compares the
+    result with T's flags; c >> 1 is the bits-form IntegerSet from 1."""
     lo, hi = target.window_lo, target.window_hi
+
+    def has(c, x):  # costs about x bits, where c >> x would copy the rest of c
+        return c & (1 << x)
+
     if additive:
         t = target.as_bits() << lo
         allowed = t | ((1 << lo) - 1)
@@ -463,34 +552,43 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
             c &= allowed >> beta
             return c if c.bit_count() >= 2 else None
 
-        def covers(b, c, cover_lo, cover_hi):
+        def covers(b, c, cover_lo, cover_hi, core_lo, core_hi):
             cover = 0
             for beta in b:
                 cover |= c << beta
             window = ((1 << (cover_hi - cover_lo + 1)) - 1) << cover_lo
-            return not t & window & ~cover
+            gaps = t & window & ~cover
+            if not gaps:
+                return None
+            first = _lowest(gaps)
+            if first < core_lo and gaps >> core_lo:  # below the core: find its own first
+                core = core_lo + _lowest(gaps >> core_lo)
+                if core <= core_hi:
+                    return core
+            return first
 
         def as_set(c, climit):
             return IntegerSet(c, c_min, climit)
 
-        return allowed, None, narrow, covers, as_set
+        return allowed, None, narrow, covers, has, as_set
 
-    flags = _flags(target._data, lo, hi - lo + 1)
-    # c_min = 1, and combinations below the window are unconstrained
-    tflags, allowed = bytes(lo) + flags, b"\0" + b"\1" * (lo - 1) + flags
+    data = target._data
+    allowed = _flags(data << lo if type(data) is int else data, 0, hi + 1)
+    allowed[1:lo] = b"\1" * (lo - 1)  # c_min = 1, and combinations below the window are free
     quotients: dict[int, int] = {}  # q(d) for each d of the pool
 
     def divides(d):
-        if 1 in tflags[d::d]:
-            quotients[d] = int.from_bytes(allowed[::d], "little")
+        q = allowed[::d]
+        if q.find(1, -(-lo // d)) >= 0:  # a multiple of d from lo on is in T
+            quotients[d] = _pack(q)
         return d in quotients
 
     def narrow(c, beta):
         c = quotients[beta] if c is None else c & quotients[beta]
-        return c if c & (c - 1) else None  # at least two bytes set
+        return c if c & (c - 1) else None  # at least two bits set
 
-    def covers(b, c, cover_lo, cover_hi):
-        cb = memoryview(c.to_bytes((c.bit_length() + 7) // 8, "little"))
+    def covers(b, c, cover_lo, cover_hi, core_lo, core_hi):
+        cb = memoryview(_flags(c, 0, 0))
         cover = bytearray(cover_hi + 1)
         for beta in b:
             n = min(len(cb), cover_hi // beta + 1)  # beta * c for c < n lies in the cover
@@ -499,12 +597,36 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
                 hit = (int.from_bytes(cover[: beta * n: beta], "little")
                        | int.from_bytes(hit, "little")).to_bytes(n, "little")
             cover[: beta * n: beta] = hit
-        return tflags.startswith(memoryview(cover)[cover_lo:], cover_lo)
+        view = memoryview(cover)
+
+        def first_gap(a, z):  # the first byte of [a, z] where cover misses T, if any
+            if a > z or allowed.startswith(view[a: z + 1], a):  # past its end, startswith fails
+                return None
+            while a < z:  # the gap lies in [a, z]: halve that
+                mid = (a + z) // 2
+                if allowed.startswith(view[a: mid + 1], a):
+                    a = mid + 1
+                else:
+                    z = mid
+            return a
+
+        t = first_gap(core_lo, core_hi)
+        return first_gap(cover_lo, cover_hi) if t is None else t
 
     def as_set(c, climit):
-        return IntegerSet(_pack(c.to_bytes(climit + 1, "little")[1:]), c_min, climit)
+        return IntegerSet(c >> 1, c_min, climit)
 
-    return None, divides, narrow, covers, as_set
+    return None, divides, narrow, covers, has, as_set
+
+
+def _lowest(bits: int) -> int:
+    """The index of the lowest set bit of bits > 0.  The bits are read in
+    widths that grow fourfold from 64, so the cost follows that index, not
+    the length of bits."""
+    width = 64
+    while not (low := bits & ((1 << width) - 1)):
+        width *= 4
+    return (low & -low).bit_length() - 1
 
 
 def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
@@ -538,17 +660,26 @@ def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
             c = part(beta) if c is None else c & part(beta)  # walks the smaller side
         return c if len(c) >= 2 else None
 
-    def covers(b, c, cover_lo, cover_hi):
-        # stops at the first target element left uncovered
-        ts = elems[bisect_left(elems, cover_lo): bisect_right(elems, cover_hi)]
-        if additive:
-            return all(any(t - beta in c for beta in b) for t in ts)
-        return all(any(t % beta == 0 and t // beta in c for beta in b) for t in ts)
+    def covers(b, c, cover_lo, cover_hi, core_lo, core_hi):
+        # the first target element left uncovered: in the core, then below
+        # it, then above it
+        spans = (((core_lo, core_hi), (cover_lo, core_lo - 1), (core_hi + 1, cover_hi))
+                 if core_lo <= core_hi else ((cover_lo, cover_hi),))
+        for a, z in spans:
+            ts = elems[bisect_left(elems, a): bisect_right(elems, z)]
+            if additive:
+                missed = (t for t in ts if not any(t - beta in c for beta in b))
+            else:
+                missed = (t for t in ts if not any(t % beta == 0 and t // beta in c for beta in b))
+            t = next(missed, None)
+            if t is not None:
+                return t
+        return None
 
     def as_set(c, climit):
         return IntegerSet(array("Q", sorted(c)), c_min, climit)
 
-    return (allowed if additive else None), divides, narrow, covers, as_set
+    return (allowed if additive else None), divides, narrow, covers, contains, as_set
 
 
 COVER_OFFSETS = (0, 1, 3, 5)

@@ -170,6 +170,22 @@ def multiplicative_accepted_parts(target, lo, hi, max_b_size, max_b_elem, full_w
     return sorted(accepted)
 
 
+def part_covers(target, lo, hi, b, additive, t):
+    """Whether t is in b (+|*) c for part b's maximal c, straight from the
+    definitions: c runs over [0, hi - max b] (additive) or [1, hi // max b]
+    (multiplicative) and keeps each x whose combination with every beta of b
+    lands in the target or below lo."""
+    tset = set(target)
+    maxb = b[-1]
+    if additive:
+        cvals = [c for c in range(0, hi - maxb + 1)
+                 if all(c + beta in tset or c + beta < lo for beta in b)]
+        return any(c + beta == t for c in cvals for beta in b)
+    cvals = [c for c in range(1, hi // maxb + 1)
+             if all(c * beta in tset or c * beta < lo for beta in b)]
+    return any(c * beta == t for c in cvals for beta in b)
+
+
 def additive_parts_by_subset_search(target, lo, hi, max_b_size, max_b_elem):
     """Full-window acceptance by literally trying every complement subset.
 

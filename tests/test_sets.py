@@ -3,6 +3,7 @@ import pickle
 import random
 import sys
 import time
+import tracemalloc
 from array import array
 from collections import Counter
 from itertools import product
@@ -13,11 +14,13 @@ from decomplab import (
     DecompositionCandidate,
     GammaSemigroup,
     IntegerSet,
+    SmoothnessPolicy,
     WindowError,
     decompose_search,
     h_family,
     productset,
     sieve,
+    smooth_set,
     sumset,
     verify_composite_decomposition,
     windowed_equal,
@@ -29,6 +32,7 @@ from oracles import (
     additive_parts_by_subset_search,
     composite_cover_reports,
     multiplicative_accepted_parts,
+    part_covers,
 )
 
 
@@ -125,6 +129,76 @@ def test_load_text_reads_unsorted_files_and_refuses_values_past_the_array(tmp_pa
         path.write_text(f"# window 0 {hi}\n{lines}")
         with pytest.raises(ValueError, match=message):
             IntegerSet.load_text(path)
+
+
+def _write(path, lo, hi, lines):
+    path.write_text(f"# window {lo} {hi}\n" + "".join(f"{v}\n" for v in lines))
+
+
+def test_load_text_reads_a_dense_file_as_bits(tmp_path, monkeypatch):
+    # above 1/64 of the window the values go to bits, at or below it they
+    # stay an array, as the smooth sets choose; slices of 64 characters
+    # make the switch fall many slices into the file
+    monkeypatch.setattr(sets, "_READ_SLICE", 64)
+    path = tmp_path / "t.txt"
+    lo, hi = 100, 6499  # 6400 integers: 100 values are 1/64
+    for count, form in ((99, array), (100, array), (101, int), (3000, int)):
+        values = sorted(random.Random(count).sample(range(lo, hi + 1), count))
+        _write(path, lo, hi, values)
+        loaded = IntegerSet.load_text(path)
+        assert type(loaded._data) is form and loaded == IntegerSet(tuple(values), lo, hi), count
+        # order and repeats do not matter, whatever the form
+        _write(path, lo, hi, values[::-1] + values[:7])
+        assert IntegerSet.load_text(path) == loaded, count
+    # blank and space-only lines, one run of them longer than a slice, and
+    # no newline at the end
+    values = list(range(lo, hi + 1, 3))
+    path.write_text(f"# window {lo} {hi}\n" + "\n".join(map(str, values[:50])) + "\n" * 200
+                    + " \n\t\n" + "\n".join(map(str, values[50:])))
+    loaded = IntegerSet.load_text(path)
+    assert type(loaded._data) is int and loaded == IntegerSet(tuple(values), lo, hi)
+    # a window wider than MASK_BUDGET keeps the array
+    monkeypatch.setattr(sets, "MASK_BUDGET", hi - lo)
+    _write(path, lo, hi, values)
+    assert type(IntegerSet.load_text(path)._data) is array
+
+
+def test_load_text_fails_past_the_switch_to_bits_as_before(tmp_path, monkeypatch):
+    # a value outside the window, below 0, past 2**63 or past 2**64 met after
+    # the switch: the same ValueError as from an array, which from_values
+    # raises on a second read of the file
+    monkeypatch.setattr(sets, "_READ_SLICE", 64)
+    path = tmp_path / "t.txt"
+    top = 1 << 63
+    for lo, hi, bad, message in ((10, 1000, 1001, "inside the window"),
+                                 (10, 1000, 9, "inside the window"),
+                                 (10, 1000, -1, "inside the window"),
+                                 (10, 1000, 1 << 64, "inside the window"),
+                                 (top - 500, top + 500, top + 1, "exceed 2\\*\\*63")):
+        values = list(range(lo, lo + 200))
+        _write(path, lo, hi, values)
+        assert type(IntegerSet.load_text(path)._data) is int
+        _write(path, lo, hi, values + [bad])
+        with pytest.raises(ValueError, match=message):
+            IntegerSet.load_text(path)
+    path.write_text("# window 10 1000\n" + "\n".join(map(str, range(10, 200))) + "\nx\n")
+    with pytest.raises(ValueError, match="invalid literal"):
+        IntegerSet.load_text(path)
+
+
+def test_load_text_of_a_dense_file_holds_neither_its_array_nor_its_flags(tmp_path):
+    composites = smooth_set(SmoothnessPolicy.composites(), 4 * 10**5)
+    path = tmp_path / "c.txt"
+    composites.save_text(path)
+    array_bytes = 8 * len(composites)  # about 2.9 MB; flags over the window, 0.4 MB
+    tracemalloc.start()
+    try:
+        loaded = IntegerSet.load_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded == composites and type(loaded._data) is int
+    assert peak < array_bytes // 4, peak
 
 
 def _bits_of(values, lo):
@@ -491,34 +565,122 @@ def test_search_walks_deep_trees_without_recursion():
         assert found == want, path.__name__
 
 
+def _counted(path, calls):
+    """path with its narrow steps and its full cover checks counted in calls;
+    every part checked keeps two c or more."""
+    def counted(target, additive, c_min):
+        start, divides, narrow, covers, has, as_set = path(target, additive, c_min)
+
+        def counted_narrow(c, beta):
+            calls["narrow"] += 1
+            return narrow(c, beta)
+
+        def counted_covers(b, c, *windows):
+            calls["covers"] += 1
+            assert len(as_set(c, target.window_hi // b[-1])) >= 2, b
+            return covers(b, c, *windows)
+
+        return start, divides, counted_narrow, counted_covers, has, as_set
+
+    return counted
+
+
 def test_search_narrows_once_per_part_and_skips_small_c():
-    # a sum family whose prefixes mostly keep fewer than two c: the walk
-    # narrows far fewer parts than the 1,285,750 of sizes 2..4 in its pool,
-    # and checks the cover only of parts with two c or more
-    target = h_family(GammaSemigroup.of([3, 5]), 3, 10**5, cumulative=True)
-    counts = []
-    for path in (sets._dense_path, sets._sparse_path):
-        calls = Counter()
+    # {3, 5}: a sum family whose prefixes mostly keep fewer than two c, so
+    # the walk narrows far fewer parts than the 1,285,750 of sizes 2..4 in
+    # its pool, and checks the cover only of parts with two c or more.
+    # {2, 3, 5}: all 164,276 parts of sizes 2..3 keep two c or more and are
+    # rejected, and the witnesses their prefixes hand down reject most of
+    # them with one membership test each, unchecked
+    for gamma, size, narrows, checks in (([3, 5], 4, 60000, None), ([2, 3, 5], 3, None, 10000)):
+        target = h_family(GammaSemigroup.of(gamma), 3, 10**5, cumulative=True)
+        counts = []
+        for path in (sets._dense_path, sets._sparse_path):
+            calls = Counter()
+            found = sets._search(target, "multiplicative", size, 100, False, _counted(path, calls))
+            assert found == sets._search(target, "multiplicative", size, 100, False, path)
+            counts.append(calls)
+        assert counts[0] == counts[1], gamma
+        assert 0 < counts[0]["covers"], gamma
+        assert narrows is None or counts[0]["narrow"] <= narrows, counts[0]
+        assert checks is None or counts[0]["covers"] <= checks, counts[0]
 
-        def counted(target, additive, c_min):
-            start, divides, narrow, covers, as_set = path(target, additive, c_min)
 
-            def counted_narrow(c, beta):
-                calls["narrow"] += 1
-                return narrow(c, beta)
+class _Tagged:
+    """A path's c, with the part it belongs to."""
 
-            def counted_covers(b, c, cover_lo, cover_hi):
-                calls["covers"] += 1
-                assert len(as_set(c, target.window_hi // b[-1])) >= 2, b
-                return covers(b, c, cover_lo, cover_hi)
+    __slots__ = ("b", "c")
 
-            return start, divides, counted_narrow, counted_covers, as_set
+    def __init__(self, b, c):
+        self.b, self.c = b, c
 
-        found = sets._search(target, "multiplicative", 4, 100, False, counted)
-        assert found == sets._search(target, "multiplicative", 4, 100, False, path)
-        counts.append(calls)
-    assert counts[0] == counts[1]
-    assert 0 < counts[0]["covers"] and counts[0]["narrow"] <= 60000, counts[0]
+
+def _tagged(path, visited, checked):
+    """path with every c tagged by its part: visited collects each part
+    narrowed to two c or more, and checked maps each part whose cover is
+    checked in full to what covers returned."""
+    def tagged(target, additive, c_min):
+        start, divides, narrow, covers, has, as_set = path(target, additive, c_min)
+
+        def tag_narrow(node, beta):
+            c = narrow(node.c, beta)
+            if c is None:
+                return None
+            visited.append(node.b + (beta,))
+            return _Tagged(node.b + (beta,), c)
+
+        def tag_covers(b, node, *windows):
+            checked[b] = covers(b, node.c, *windows)
+            return checked[b]
+
+        return (_Tagged((0,) if additive else (), start), divides, tag_narrow, tag_covers,
+                lambda node, x: has(node.c, x), lambda node, climit: as_set(node.c, climit))
+
+    return tagged
+
+
+def test_rejections_by_an_inherited_witness_leave_it_uncovered():
+    # a part rejected with no full cover check inherits the witness t of its
+    # nearest checked prefix, which that check found uncovered in the core;
+    # by the definitions, t lies in the part's cover window and the part
+    # leaves it uncovered too.  Both paths, both kinds, one-point windows and
+    # the free range below lo = 1000, with and without full_window
+    rng = random.Random(25)
+    inherited = Counter()
+    for lo, hi, rounds in ((1, 1, 2), (5, 5, 2), (1, 12, 6), (3, 12, 6), (1, 40, 6),
+                           (7, 40, 6), (1, 150, 2), (1000, 1006, 2)):
+        for _ in range(rounds):
+            values = [v for v in range(lo, hi + 1) if rng.random() < 0.75] or [hi]
+            target = IntegerSet(tuple(values), lo, hi)
+            for kind, path, full, (size, elem) in product(
+                    ("additive", "multiplicative"), (sets._dense_path, sets._sparse_path),
+                    (False, True), ((3, 8), (4, 6))):
+                additive = kind == "additive"
+                visited, checked = [], {}
+                found = sets._search(target, kind, size, elem, full,
+                                     _tagged(path, visited, checked))
+                oracle = additive_accepted_parts if additive else multiplicative_accepted_parts
+                assert [c.b for c in found] == oracle(values, lo, hi, size, elem, full)
+                pool = [d for d in range(1, min(elem, hi) + 1)
+                        if additive or any(v % d == 0 for v in values)]
+
+                def window(m):
+                    if full:
+                        return lo, hi
+                    return (lo + m, hi - m) if additive else (lo * m, hi // m)
+
+                core_lo, core_hi = window(pool[-1] if pool else 1)
+                for b in visited:
+                    cover_lo, cover_hi = window(b[-1])
+                    if len(b) < 2 or b in checked or cover_lo > cover_hi:
+                        continue
+                    prefix = next(b[:k] for k in range(len(b) - 1, 1, -1) if b[:k] in checked)
+                    t = checked[prefix]
+                    assert t is not None and core_lo <= t <= core_hi, (b, prefix, t)
+                    assert cover_lo <= t <= cover_hi and t in values, (b, t)
+                    assert not part_covers(values, lo, hi, b, additive, t), (values, lo, b, t)
+                    inherited[kind, path, full] += 1
+    assert len(inherited) == 8, inherited  # every kind, path and window rejects by a witness
 
 
 def test_decompose_matches_exhaustive_complement_search():

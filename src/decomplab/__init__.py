@@ -4,8 +4,12 @@ and families of pairwise-coprime semigroup sums).
 
 Each layer module is registered in sys.modules unexecuted, through
 importlib.util.LazyLoader, and its code runs on first attribute use, so a
-CLI job pays start-up only for the layers its command calls.  The public
-names below are read from their layer on first use (PEP 562).
+CLI job pays start-up only for the layers its command calls.  With no
+bytecode cache, each layer it runs is compiled too, so the layers are cut
+where the commands divide: primes (tests of single integers) apart from
+arith (the prime scan, sieves, smooth sets), and search (the part search's
+walk) apart from sets (IntegerSet and decompose_search's entry point).
+The public names below are read from their layer on first use (PEP 562).
 
 The layers' frozen records (PrimeSieve, GammaSemigroup, the reports, ...)
 derive from _Record, a plain class with __slots__ that gives them equality,
@@ -29,14 +33,9 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "arith": (
-        "MAX_VALUE",
         "PrimeSieve",
         "SmoothnessPolicy",
         "composite_bits",
-        "factorize",
-        "greatest_prime_factor",
-        "is_composite",
-        "is_prime",
         "shifted_smooth_set",
         "sieve",
         "smooth_set",
@@ -48,6 +47,13 @@ _EXPORTS = {
         "build_plan",
         "crt_solve",
         "multiplicative_witness",
+    ),
+    "primes": (
+        "MAX_VALUE",
+        "factorize",
+        "greatest_prime_factor",
+        "is_composite",
+        "is_prime",
     ),
     "semigroup": (
         "ExceptionalFactorizationReport",
@@ -230,6 +236,8 @@ def _register(layer: str):
 # looks each one up there after `import decomplab.cli`
 arith = _register("arith")
 mwitness = _register("mwitness")
+primes = _register("primes")
+search = _register("search")
 semigroup = _register("semigroup")
 sets = _register("sets")
 tuples = _register("tuples")

@@ -1,4 +1,7 @@
-"""Exact integer primitives: primality, sieves, factorization, smoothness."""
+"""Exact integer primitives over windows: the prime scan, sieves and their
+cache files, composite bits and smooth sets.  The tests of single integers,
+is_prime, is_composite, factorize and greatest_prime_factor, are in primes,
+and are re-exported here with MAX_VALUE."""
 
 from __future__ import annotations
 
@@ -13,15 +16,8 @@ from collections import namedtuple
 from itertools import compress
 
 from . import _SLICE, _Record, _flags, _gather, _pack, _unpack, sets
-
-MAX_VALUE = 1 << 63  # factorization-style inputs stay below this
-_U64 = 1 << 64
-
-# First 12 primes: strong-pseudoprime testing with these bases is
-# deterministic for every n < 2**64 (indeed below psi_12 =
-# 318665857834031151167461 ~ 3.2 * 10**23, the least strong pseudoprime to
-# all twelve).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+from .primes import (  # noqa: F401  (MAX_VALUE, factorize and is_prime are re-exported)
+    MAX_VALUE, factorize, greatest_prime_factor, is_composite, is_prime)
 
 SEGMENT_BITS = 1 << 20  # odd numbers per sieve segment: 1 MiB of flags, 2**21 integers
 _BASE_PRIME_LIMIT = 1 << 24  # largest base prime, so windows reach 2**48
@@ -40,35 +36,6 @@ _ONLY_ONE, _NOT = b"\0\1" + bytes(254), b"\1" + bytes(255)
 _SLICE_BYTES = 1000  # one slice of the closure
 _CLEAR_BYTES = 2.7  # one byte cleared through a window
 _MERTENS = 0.2615  # Sum_{p <= x} 1 / p = ln ln x + M + o(1)
-
-
-def is_prime(n: int) -> bool:
-    """Deterministic primality test for 0 <= n < 2**64."""
-    if n < 0 or n >= _U64:
-        raise ValueError(f"is_prime covers [0, 2**64), got {n}")
-    if n < 2:
-        return False
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = ((d & -d).bit_length()) - 1
-    d >>= r
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def is_composite(n: int) -> bool:
-    return n > 1 and not is_prime(n)
 
 
 class PrimeSieve(_Record):
@@ -486,73 +453,6 @@ def _scanned(limit: int, write):
             write(w.to_bytes())
         yield w.start, w.bits
 
-
-_TRIAL_PRIMES = (2, *_base_primes(1 << 10))
-
-
-def _brent_rho(n: int) -> int:
-    """Nontrivial factor of a composite n with no small prime factors
-    (Brent's cycle-finding variant of Pollard rho, deterministic restarts)."""
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        y, r, q = 2, 1, 1
-        g, ys, x = 1, 2, 2
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r <<= 1
-        if g == n:
-            g, y = 1, ys
-            while g == 1:
-                y = (y * y + c) % n
-                g = math.gcd(abs(x - y), n)
-        if 1 < g < n:
-            return g
-    raise ArithmeticError(f"cycle search failed for {n}")
-
-
-def _split(n: int, out: dict[int, int]) -> None:
-    if n == 1:
-        return
-    if is_prime(n):
-        out[n] = out.get(n, 0) + 1
-        return
-    d = _brent_rho(n)
-    _split(d, out)
-    _split(n // d, out)
-
-
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Complete sorted factorization of 1 <= n < 2**63; [] for n = 1."""
-    if not 1 <= n < MAX_VALUE:
-        raise ValueError(f"factorize covers [1, 2**63), got {n}")
-    out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        _split(n, out)
-    return sorted(out.items())
-
-
-def greatest_prime_factor(n: int) -> int:
-    """p+(n), with the convention p+(1) = 1."""
-    if n == 1:
-        return 1
-    return factorize(n)[-1][0]
 
 
 class SmoothnessPolicy(_Record):

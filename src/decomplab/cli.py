@@ -214,7 +214,6 @@ def _candidate_payload(cand):
 
 
 def _cmd_decompose(args):
-    from .arith import composite_bits
     from .sets import IntegerSet, check_mask_budget, decompose_search
     if args.target_file:
         target = IntegerSet.load_text(args.target_file)
@@ -222,6 +221,7 @@ def _cmd_decompose(args):
     elif args.composites:
         if args.window is None:
             raise _UsageError("--composites needs --window LO,HI")
+        from .arith import composite_bits
         lo, hi = _parse_window(args.window)
         check_mask_budget(hi)
         # a window below 0 has no bits: IntegerSet refuses it as an invalid window

@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 
 from . import _Record
-from .arith import factorize, is_composite, is_prime
+from .primes import factorize, is_composite, is_prime
 
 
 class CongruenceSystem(_Record):

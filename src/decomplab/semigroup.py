@@ -4,6 +4,7 @@ sums, bounded-height S-unit enumeration, and the lone factorable family."""
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from itertools import product as iter_product
 from operator import mul
 
@@ -204,27 +205,33 @@ def _coprime_blocks(g: GammaSemigroup, k: int, height: int) -> list[tuple[int, .
     """Tuples of 1..k pairwise coprime semigroup elements <= height, sorted
     ascending inside each block; 1 may repeat.
 
-    Elements are tried in decreasing order, so each new one goes in front;
-    the product of the chosen elements serves as the coprimality radical.
+    Elements are tried in decreasing order, so each new one goes in front.
+    Each element is tagged with the bitmask of the generators that divide
+    it; as the generators are pairwise coprime, two elements are coprime
+    exactly when their masks are disjoint.  The indices of the elements free
+    of a chosen mask are listed once per mask, so the walk visits only the
+    elements that extend a block, with no gcd.
     """
     elems = sorted(
         (v for v in enumerate_semigroup(g, height).elements if v > 1), reverse=True
     )
+    masks = [sum(1 << j for j, gen in enumerate(g.generators) if e % gen == 0) for e in elems]
+    free: dict[int, list[int]] = {}  # chosen mask -> the indices of the elements outside it
     blocks: list[tuple[int, ...]] = []
 
-    def walk(start, chosen, rad):
-        used = len(chosen)
-        for pad in range(0 if used else 1, k - used + 1):
+    def walk(start, chosen, used):
+        n = len(chosen)
+        for pad in range(0 if n else 1, k - n + 1):
             blocks.append((1,) * pad + chosen)
-        if used == k:
+        if n == k:
             return
-        for i in range(start, len(elems)):
-            e = elems[i]
-            if math.gcd(e, rad) != 1:
-                continue
-            walk(i + 1, (e,) + chosen, rad * e)
+        if used not in free:
+            free[used] = [i for i, m in enumerate(masks) if not m & used]
+        fits = free[used]
+        for i in fits[bisect_left(fits, start):]:
+            walk(i + 1, (elems[i],) + chosen, used | masks[i])
 
-    walk(0, (), 1)
+    walk(0, (), 0)
     return blocks
 
 

@@ -8,7 +8,7 @@ from functools import partial
 from itertools import starmap
 
 from . import _Record, _unpack
-from .arith import is_composite, is_prime, prime_windows
+from .primes import is_composite, is_prime
 
 
 class OffsetTuple(_Record):
@@ -117,6 +117,7 @@ def find_constellation(
 def _constellation_scan(t, lo, hi, composite_center, consecutive):
     """find_constellation's hits, one array('Q') per window of a lazy prime
     scan."""
+    from .arith import prime_windows
     lo = max(lo, 0)
     # 0 is in the span for the composite test
     u_lo, u_hi = min(t.offsets[0], 0), max(t.offsets[-1], 0)

@@ -9,7 +9,7 @@ from bisect import bisect_left
 import numpy as np
 import pytest
 
-from decomplab import arith
+from decomplab import arith, primes
 from decomplab import (
     PrimeSieve,
     ResourceLimitError,
@@ -609,6 +609,11 @@ def test_factorize_matches_naive():
 def test_factorize_large_semiprime():
     p, q = 2**31 - 1, 2**31 - 19  # both prime
     assert factorize(p * q) == [(q, 1), (p, 1)]
+
+
+def test_trial_primes_are_the_primes_below_1024():
+    # primes sieves them in 512 bytes of its own, without the prime scan
+    assert primes._TRIAL_PRIMES == tuple(n for n in range(1024) if naive_is_prime(n))
 
 
 def test_factorize_domain():

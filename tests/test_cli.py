@@ -661,18 +661,22 @@ def test_point_queries_start_without_numpy(tmp_path, capsys, monkeypatch):
     assert len(starts) == 57
 
 
-# the layers whose code each command runs, besides cli; a layer runs on first use
+# the layers whose code each command runs, besides cli; a layer runs on first use.
+# arith imports primes, so every command that runs arith runs primes too.
+# {tmp} is a folder the test writes the --target-file set into.
 LAYERS_RUN = [
-    (["tuple", "admissible", "--offsets=0,2,6"], {"tuples", "arith"}),
-    (["tuple", "select-triple", "--b2", "2", "--b3", "6"], {"tuples", "arith"}),
-    (["tuple", "find", "--offsets=0,2", "--window", "0,1000"], {"tuples", "arith"}),
-    (["witness", "add", "--b", "0,2", "--n0", "100"], {"tuples", "arith"}),
-    (["witness", "mul", "--b", "1,2", "--n0", "1", "--t-hi", "1000"], {"mwitness", "arith"}),
-    (["sieve", "--limit", "1000"], {"arith"}),
-    (["verify-thm1", "--limit", "1000"], {"arith", "sets"}),
-    (["smooth", "--policy", "composites", "--limit", "100"], {"arith", "sets"}),
+    (["tuple", "admissible", "--offsets=0,2,6"], {"tuples", "primes"}),
+    (["tuple", "select-triple", "--b2", "2", "--b3", "6"], {"tuples", "primes"}),
+    (["tuple", "find", "--offsets=0,2", "--window", "0,1000"], {"tuples", "primes", "arith"}),
+    (["witness", "add", "--b", "0,2", "--n0", "100"], {"tuples", "primes", "arith"}),
+    (["witness", "mul", "--b", "1,2", "--n0", "1", "--t-hi", "1000"], {"mwitness", "primes"}),
+    (["sieve", "--limit", "1000"], {"arith", "primes"}),
+    (["verify-thm1", "--limit", "1000"], {"arith", "primes", "sets"}),
+    (["smooth", "--policy", "composites", "--limit", "100"], {"arith", "primes", "sets"}),
     (["decompose", "--kind", "additive", "--composites", "--window", "9,1000",
-      "--max-b-size", "2", "--max-b-elem", "5"], {"arith", "sets"}),
+      "--max-b-size", "2", "--max-b-elem", "5"], {"arith", "primes", "sets", "search"}),
+    (["decompose", "--kind", "additive", "--target-file", "{tmp}/target.txt",
+      "--max-b-size", "2", "--max-b-elem", "5"], {"sets", "search"}),
     (["semigroup", "list", "--gamma", "2,3", "--limit", "100"], {"semigroup", "sets"}),
     (["two-term", "--t2", "3", "--t1", "1", "--n", "2", "--c", "1", "--cap", "20"],
      {"semigroup"}),
@@ -682,9 +686,9 @@ LAYERS_RUN = [
     (["l-set", "--gamma", "2,3", "--k", "2", "--height", "100", "--eps-height", "10"],
      {"semigroup", "sets"}),
     (["mprim-scan", "--gamma", "2", "--k", "3", "--le", "--limit", "65536",
-      "--max-b-size", "2", "--max-b-elem", "2"], {"semigroup", "sets"}),
+      "--max-b-size", "2", "--max-b-elem", "2"], {"semigroup", "sets", "search"}),
 ]
-LAYERS = {"arith", "mwitness", "semigroup", "sets", "tuples"}
+LAYERS = {"arith", "mwitness", "primes", "search", "semigroup", "sets", "tuples"}
 
 # a fresh interpreter: imports decomplab.cli, runs argv (if any) through
 # cli.run, and reports which decomplab modules are registered and which ran,
@@ -719,14 +723,32 @@ def test_bare_cli_import_registers_every_layer_and_runs_none():
     assert record_imports == []
 
 
-def test_each_command_runs_only_its_layers():
+def test_each_command_runs_only_its_layers(tmp_path):
+    (tmp_path / "target.txt").write_text("# window 9 100\n" + "".join(
+        f"{n}\n" for n in range(9, 101) if not naive_is_prime(n)))
     for argv, layers in LAYERS_RUN:
+        argv = [arg.format(tmp=tmp_path) for arg in argv]
         code, registered, ran, fractions, record_imports = _load_state(argv)
         assert code == EXIT_OK, argv
         assert set(registered) == LAYERS | {"cli"}, argv
         assert set(ran) == layers | {"cli"}, argv
         assert fractions == (argv[0] == "sunit"), argv  # only S-unit equations load it
         assert record_imports == [], argv
+
+
+def test_primality_runs_without_the_prime_scan():
+    # the tests of single integers are their own layer: arith stays unrun
+    script = (
+        "import json, sys, types\n"
+        "import decomplab.primes as primes\n"
+        "done = [primes.is_prime(2**61 - 1), primes.factorize(2**62 - 1)[-1][0]]\n"
+        "arith = sys.modules['decomplab.arith']\n"
+        "print(json.dumps([done, type(arith) is types.ModuleType]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[True, 2147483647], False]
 
 
 def _subcommands(parser) -> list[str]:

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -84,6 +84,29 @@ def test_h_family_brute_force():
                     want = coprime_sums(elems, k, limit, cumulative)
                     got = set(h_family(g, k, limit, cumulative).elements)
                     assert got == want, (gens, k, cumulative, limit)
+
+
+def test_coprime_blocks_match_brute_force_on_random_generators():
+    # blocks are walked by the generators dividing each element; 4, 9, 25
+    # and 27 are generators too, sharing no prime with the others
+    rng = random.Random(26)
+    pool = (2, 3, 4, 5, 7, 9, 11, 25, 27)
+    for _ in range(40):
+        gens = []
+        for gen in rng.sample(pool, rng.randint(1, 4)):
+            if all(math.gcd(gen, h) == 1 for h in gens):
+                gens.append(gen)
+        g, k, limit = GammaSemigroup.of(gens), rng.randint(1, 4), rng.randint(10, 150)
+        elems = enumerate_semigroup(g, limit).elements
+        want = [combo for size in range(1, k + 1)
+                for combo in combinations_with_replacement(elems, size)
+                if all(math.gcd(x, y) == 1 for x, y in combinations(combo, 2))]
+        blocks = semigroup._coprime_blocks(g, k, limit)
+        assert sorted(blocks) == sorted(want), (gens, k, limit)
+        for cumulative in (False, True):
+            got = set(h_family(g, k, limit, cumulative).elements)
+            assert got == coprime_sums(elems, k, limit, cumulative), (gens, k, limit)
+            assert got <= set(h_family_star(g, k, limit, cumulative).elements)
 
 
 def test_h_family_monotone():

@@ -25,7 +25,7 @@ from decomplab import (
     verify_composite_decomposition,
     windowed_equal,
 )
-from decomplab import arith, sets
+from decomplab import arith, search, sets
 from decomplab.arith import SEGMENT_BITS
 from oracles import (
     additive_accepted_parts,
@@ -289,8 +289,8 @@ def test_additive_bits_path_matches_oracle_at_window_edges():
             tset = set(values)
             target = IntegerSet(tuple(values), lo, hi)
             for size, elem in ((2, hi + 5 if hi < 100 else 12), (3, 6), (4, 5)):
-                for full, path in product((False, True), (sets._dense_path, sets._sparse_path)):
-                    found = sets._search(target, "additive", size, elem, full, path)
+                for full, path in product((False, True), (search._dense_path, search._sparse_path)):
+                    found = search._search(target, "additive", size, elem, full, path)
                     want = additive_accepted_parts(values, lo, hi, size, elem, full)
                     assert [cand.b for cand in found] == want, (values, lo, hi, size, elem, full)
                     for cand in found:
@@ -317,8 +317,8 @@ def test_multiplicative_flags_path_matches_oracle_at_window_edges():
             tset = set(values)
             targets = (IntegerSet(_bits_of(values, lo), lo, hi), IntegerSet(tuple(values), lo, hi))
             for size, elem in ((2, hi + 5 if hi < 100 else 12), (3, 6), (4, 5)):
-                for full, path in product((False, True), (sets._dense_path, sets._sparse_path)):
-                    found, again = (sets._search(t, "multiplicative", size, elem, full, path)
+                for full, path in product((False, True), (search._dense_path, search._sparse_path)):
+                    found, again = (search._search(t, "multiplicative", size, elem, full, path)
                                     for t in targets)
                     assert found == again, (values, lo, hi, size, elem, full)
                     want = multiplicative_accepted_parts(values, lo, hi, size, elem, full)
@@ -518,8 +518,8 @@ def test_sparse_path_equals_dense_path():
         target = IntegerSet.from_values(values, lo, hi)
         # parts of 4 on the small windows, where the oracle runs
         for full, size in product((False, True), (3, 4) if hi <= 500 else (3,)):
-            found = [sets._search(target, kind, size, 8, full, path)
-                     for path in (sets._dense_path, sets._sparse_path)]
+            found = [search._search(target, kind, size, 8, full, path)
+                     for path in (search._dense_path, search._sparse_path)]
             dense, sparse = ([(c.b, tuple(c.c.elements), c.c.window_lo, c.c.window_hi,
                                c.coverage_window) for c in cands] for cands in found)
             assert sparse == dense, (kind, tuple(target), lo, hi, full, size)
@@ -553,13 +553,13 @@ def test_search_walks_deep_trees_without_recursion():
     # every subset of 1..12 with 0 is accepted on a full target: 4095 parts
     # in a tree 13 deep, walked within 15 frames of the caller
     target = IntegerSet(tuple(range(41)), 0, 40)
-    for path in (sets._dense_path, sets._sparse_path):
-        want = sets._search(target, "additive", 13, 12, False, path)
+    for path in (search._dense_path, search._sparse_path):
+        want = search._search(target, "additive", 13, 12, False, path)
         assert len(want) == 4095 and max(len(c.b) for c in want) == 13
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(_frame_depth() + 15)
         try:
-            found = sets._search(target, "additive", 13, 12, False, path)
+            found = search._search(target, "additive", 13, 12, False, path)
         finally:
             sys.setrecursionlimit(limit)
         assert found == want, path.__name__
@@ -595,10 +595,11 @@ def test_search_narrows_once_per_part_and_skips_small_c():
     for gamma, size, narrows, checks in (([3, 5], 4, 60000, None), ([2, 3, 5], 3, None, 10000)):
         target = h_family(GammaSemigroup.of(gamma), 3, 10**5, cumulative=True)
         counts = []
-        for path in (sets._dense_path, sets._sparse_path):
+        for path in (search._dense_path, search._sparse_path):
             calls = Counter()
-            found = sets._search(target, "multiplicative", size, 100, False, _counted(path, calls))
-            assert found == sets._search(target, "multiplicative", size, 100, False, path)
+            found = search._search(target, "multiplicative", size, 100, False,
+                                   _counted(path, calls))
+            assert found == search._search(target, "multiplicative", size, 100, False, path)
             counts.append(calls)
         assert counts[0] == counts[1], gamma
         assert 0 < counts[0]["covers"], gamma
@@ -653,11 +654,11 @@ def test_rejections_by_an_inherited_witness_leave_it_uncovered():
             values = [v for v in range(lo, hi + 1) if rng.random() < 0.75] or [hi]
             target = IntegerSet(tuple(values), lo, hi)
             for kind, path, full, (size, elem) in product(
-                    ("additive", "multiplicative"), (sets._dense_path, sets._sparse_path),
+                    ("additive", "multiplicative"), (search._dense_path, search._sparse_path),
                     (False, True), ((3, 8), (4, 6))):
                 additive = kind == "additive"
                 visited, checked = [], {}
-                found = sets._search(target, kind, size, elem, full,
+                found = search._search(target, kind, size, elem, full,
                                      _tagged(path, visited, checked))
                 oracle = additive_accepted_parts if additive else multiplicative_accepted_parts
                 assert [c.b for c in found] == oracle(values, lo, hi, size, elem, full)

@@ -25,8 +25,6 @@ _DEFAULT_SIEVE_BUDGET = 1 << 31  # bytes of packed bits
 _SIEVE_MAGIC = b"PSV1"
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)  # pre-sieved: every segment starts from their pattern
 _WHEEL = 3 * 5 * 7 * 11 * 13  # odd numbers in one period of the pattern
-_NUMPY_PRIMES = 30000  # a segment struck with more base primes goes to numpy (M)
-_NUMPY_SEGMENTS = 50  # and so does every segment after a scan's first K, if K more follow
 # translate tables of the smooth flags: a set source byte makes j * p smooth
 # (_KEEP) or, below cut_p, only a source for larger n (_LATE)
 _KEEP, _LATE = b"\0" + b"\1" * 255, b"\0" + b"\2" * 255
@@ -183,12 +181,11 @@ class PrimeWindow(namedtuple("PrimeWindow", ("start", "size", "bits"))):
 
 
 def _odd_sieve(hi: int):
-    """Sieve the odd base primes up to isqrt(hi) once, and return two
-    crossings-off of one segment of odd numbers s, s + 2, ... <= e (s odd)
+    """Sieve the odd base primes up to isqrt(hi) once, and return flags, a
+    crossing-off of one segment of odd numbers s, s + 2, ... <= e (s odd)
     with the base primes p, p * p <= e.  flags(s, e) returns a bytearray
     whose byte k is 1 when s + 2k is prime, padded with zeros to whole
     words; it is one buffer, which the next call overwrites.
-    strike(s, e, bulk=False) returns the same as an int, bit 2k for byte k.
     A segment starts from the pattern with the multiples of 3, 5, 7, 11 and
     13 crossed off, _WHEEL bytes long: one period at the segment's phase,
     sliced from two periods of it, is doubled in place up to the segment's
@@ -196,50 +193,15 @@ def _odd_sieve(hi: int):
     copy of the pattern.  Each larger p then crosses off its odd multiples
     from max(p * p, s) in one slice assignment from `zeros`, which is as
     long as the longest such slice: n / 17 + 2 bytes for n odd numbers, 17
-    being the least prime the pattern leaves.
-
-    strike hands a segment to numpy when it needs more than M =
-    _NUMPY_PRIMES base primes, or when the scan asks for it (`bulk`).
-    prime_windows asks for every segment after a scan's first K =
-    _NUMPY_SEGMENTS, if at least K segments' worth of integers are left
-    where the (K + 1)-th starts, and decides this once.  numpy crosses off
-    every first multiple in one array step, loops only over the primes that
-    strike the segment twice, and packs the bits.  Both give the same bits:
-    the pure loop spares a short scan numpy's import, numpy is faster per
-    segment.  A sweep (Python 3.11.7, numpy 2.4.6, 2 CPUs; importing numpy
-    140-170 ms), one segment in ms, pure / numpy:
+    being the least prime the pattern leaves.  A sweep (Python 3.11.7, 2
+    CPUs), one segment crossed off and packed by _pack(flags, 2), in ms:
 
         height      10**8    10**9    10**10   10**11   10**12   10**13
         base primes 1240     3403     9592     27292    78497    227646
-        2**14 ints  0.6/0.6  1.1/0.7  2.8/0.8  7.0/0.9  18/1.5   44/3.5
-        2**21 ints  5.9/4.0  7.2/5.8  12/10    22/23    56/51    75/46
+        2**14 ints  0.6      1.1      2.8      7.0      18       44
+        2**21 ints  5.9      7.2      12       22       56       75
 
-    K segments of the pure loop's extra cost, about 2 ms each past 10**8,
-    are worth about one import.  So a scan strikes K segments before it
-    buys numpy, which keeps its extra cost within about one import, and
-    buys it only when at least K segments are left to repay it: with the
-    end hi known, a rest shorter than K stays on the pure loop.  Deciding
-    once matters: a scan that re-checked each segment would strike its
-    last K on the pure loop after paying for the import.  `sieve` from 0,
-    which switches at hi >= 197115905, on the same machine (medians of 5
-    runs, s / peak MiB):
-
-        limit    segments  switch after K  decided at K  pure loop only
-        10**8       54     0.47 / 34.3     0.38 / 18.3   0.36 / 22.0
-        1.56e8      81     0.56 / 34.8     0.52 / 18.3   0.54 / 22.0
-        1.95e8      99     0.65 / 34.8     0.62 / 18.3   0.62 / 22.0
-        2.05e8     104     0.71 / 34.8     0.69 / 32.0   0.70 / 22.1
-        4e8        197     1.08 / 34.9     1.02 / 32.0   1.26 / 22.0
-        10**9      483     2.57 / 34.8     2.43 / 32.4   3.20 / 22.0
-
-    Only the peaks of "decided at K", the scan as it is, were measured
-    again once the pattern and `zeros` stopped taking a segment each (2 MiB
-    less); the other figures, and the times, predate that.
-
-    A segment whose extra cost exceeds 2 * import / K, about
-    6 ms, goes to numpy at once; a scan's first windows, 2**14 integers,
-    reach that near 10**11: M = 30000, heights above 350377**2, about
-    1.2 * 10**11.  The prime 2 is left to the caller."""
+    The prime 2 is left to the caller."""
     root = math.isqrt(hi)
     if root > _BASE_PRIME_LIMIT:
         raise sets.ResourceLimitError(f"sieving up to {hi} needs base primes above the "
@@ -253,35 +215,31 @@ def _odd_sieve(hi: int):
     # 17, the least odd number > 1 the pattern keeps, is the least prime it leaves
     zeros = bytearray(most // (2 * pattern.index(1, 1) + 1) + 2)
     first = bisect_right(base, _WHEEL_PRIMES[-1])  # the primes the pattern leaves
-    buf = bytearray()  # a segment's flags, reused: each call overwrites the last one's
+    out = bytearray()  # a segment's flags, reused: each call overwrites the last one's
 
-    def presieved(s: int, e: int) -> bytearray:
+    def flags(s: int, e: int) -> bytearray:
         # padded with zeros to whole words, which crossing off past e keeps
-        nonlocal buf
-        n = (e - s) // 2 + 1
-        if len(buf) != -(-n // 4) * 4:
-            buf = bytearray(-(-n // 4) * 4)
+        nonlocal out
+        odd = (e - s) // 2 + 1
+        if len(out) != -(-odd // 4) * 4:
+            out = bytearray(-(-odd // 4) * 4)
         at = (s // 2) % _WHEEL
-        filled = min(n, _WHEEL)
-        buf[:filled] = periods[at: at + filled]
-        with memoryview(buf) as view:
+        filled = min(odd, _WHEEL)
+        out[:filled] = periods[at: at + filled]
+        with memoryview(out) as view:
             # whole periods double in place: the copy of [0, step) to
             # [filled, filled + step) does not overlap, as step <= filled
-            while filled < n:
-                step = min(filled, n - filled)
+            while filled < odd:
+                step = min(filled, odd - filled)
                 view[filled: filled + step] = view[:step]
                 filled += step
-        buf[n:] = bytes(len(buf) - n)
+        out[odd:] = bytes(len(out) - odd)
         if s <= _WHEEL_PRIMES[-1]:
             for p in _WHEEL_PRIMES:
                 if s <= p <= e:
-                    buf[(p - s) // 2] = 1
+                    out[(p - s) // 2] = 1
             if s == 1:
-                buf[0] = 0
-        return buf
-
-    def flags(s: int, e: int) -> bytearray:
-        out = presieved(s, e)
+                out[0] = 0
         n = len(out)
         top = bisect_right(base, math.isqrt(e))
         mid = max(bisect_right(base, math.isqrt(s - 1)), first)  # p * p < s below
@@ -298,60 +256,18 @@ def _odd_sieve(hi: int):
             out[i:: p] = zeros[: (n - 1 - i) // p + 1]
         return out
 
-    def strike(s: int, e: int, bulk: bool = False) -> int:
-        top = bisect_right(base, math.isqrt(e))
-        if bulk or top > _NUMPY_PRIMES:
-            return _strike_numpy(presieved(s, e), s, base[first: top])
-        return _pack(flags(s, e), 2)
-
-    return flags, strike
-
-
-def _strike_numpy(flags: bytearray, s: int, primes: array) -> int:
-    """strike's numpy step: cross off the odd multiples of the primes in
-    flags, whose byte k stands for s + 2k, and pack them as bits.  Each
-    prime's first odd multiple at or above max(p * p, s) is
-    (max(p, ceil(s / p)) | 1) * p; all of them go in one array step, then
-    the primes whose next odd multiple still lies in the segment, those
-    below about 2 * len(flags), one slice at a time."""
-    import numpy as np
-    n = len(flags)
-    view = np.frombuffer(flags, dtype=np.uint8)
-    ps = np.frombuffer(primes, dtype=np.uint32).astype(np.int64)
-    i = -s // ps
-    np.negative(i, out=i)
-    np.maximum(i, ps, out=i)
-    i |= 1
-    i *= ps
-    i -= s
-    i >>= 1
-    view[i[i < n]] = 0
-    i += ps
-    twice = i < n  # only these primes strike the segment again
-    for p, j in zip(ps[twice].tolist(), i[twice].tolist()):
-        view[j:: p] = 0
-    # flags 4m..4m+3, bits 0, 8, 16, 24 of word m, times 2**24 + 2**18 +
-    # 2**12 + 2**6 land on bits 24, 26, 28, 30, and nothing else does
-    words = np.frombuffer(flags, dtype="<u4") * np.uint32(0x01041040)
-    words >>= 24
-    return int.from_bytes(words.astype(np.uint8).tobytes(), "little")
+    return flags
 
 
 def _base_primes(root: int) -> array:
     """The odd primes up to root in one array('I'), sieved a segment at a
-    time.  Once it holds more than _NUMPY_PRIMES, the later ones serve only
-    segments that numpy strikes, so numpy lists them too."""
+    time."""
     base = array("I")
     if root >= 3:
-        flags, seg = _odd_sieve(root)[0], 2 * SEGMENT_BITS
+        flags, seg = _odd_sieve(root), 2 * SEGMENT_BITS
         for a in range(3, root + 1, seg):
             e = min(a + seg - 1, root)
-            if len(base) > _NUMPY_PRIMES:  # only segments struck by numpy need these
-                import numpy as np
-                odd = np.flatnonzero(np.frombuffer(flags(a, e), dtype=np.uint8))
-                base.frombytes((2 * odd + a).astype(np.uint32).tobytes())
-            else:
-                base.extend(compress(range(a, e + 1, 2), flags(a, e)))
+            base.extend(compress(range(a, e + 1, 2), flags(a, e)))
     return base
 
 
@@ -367,7 +283,7 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
         raise ValueError(f"a prime scan needs lo >= 0, got {lo}")
     seg = 2 * SEGMENT_BITS  # integers per segment
     least, most = min(overlap, seg // 2), max(seg - overlap, seg // 2)
-    fresh, start, end, reach, struck, bulk = 1 << 14, lo, lo + overlap - 1, -1, 0, False
+    fresh, start, end, reach = 1 << 14, lo, lo + overlap - 1, -1
     while start <= hi:
         fresh = min(max(fresh, least), most)
         end = min(end + fresh, hi)
@@ -375,13 +291,10 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
             # base primes up to sqrt(4 * end): sieved again once end quadruples,
             # and refused only by a window that needs primes above the limit
             reach = min(4 * end, hi, max(end, _BASE_PRIME_LIMIT ** 2))
-            strike = _odd_sieve(reach)[1]
+            flags = _odd_sieve(reach)
         bits = 0
         for a in range(start | 1, end + 1, seg):  # one segment of flags at a time
-            if struck == _NUMPY_SEGMENTS:  # decided once: numpy only if it repays its import
-                bulk = hi - a >= _NUMPY_SEGMENTS * seg
-            bits |= strike(a, min(a + seg - 1, end), bulk) << (a - start)
-            struck += 1
+            bits |= _pack(flags(a, min(a + seg - 1, end)), 2) << (a - start)
         if start <= 2 <= end:
             bits |= 1 << (2 - start)
         yield PrimeWindow(start, end - start + 1, bits)

@@ -479,9 +479,6 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    # numpy's OpenBLAS starts a worker thread per core at import; no command
-    # makes a BLAS call, so one thread saves their start-up CPU time
-    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     sys.exit(run(sys.argv[1:]))
 
 

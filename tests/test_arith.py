@@ -5,11 +5,12 @@ import subprocess
 import sys
 import tracemalloc
 from bisect import bisect_left
+from itertools import compress
 
 import numpy as np
 import pytest
 
-from decomplab import arith, primes
+from decomplab import _pack, arith, primes
 from decomplab import (
     PrimeSieve,
     ResourceLimitError,
@@ -24,7 +25,8 @@ from decomplab import (
 )
 from decomplab.arith import SEGMENT_BITS
 from decomplab.sets import MASK_BUDGET
-from oracles import naive_factorize, naive_is_prime, naive_sieve, naive_smooth, prime_flags
+from oracles import (naive_factorize, naive_is_prime, naive_sieve, naive_smooth, prime_flags,
+                     window_prime_flags)
 
 
 def test_is_prime_edge_cases():
@@ -121,19 +123,6 @@ def _scan_mask(lo, hi):
                            *(_window_mask(w) for w in arith.prime_windows(lo, hi))])
 
 
-def _numpy_strikes(monkeypatch):
-    """Count the segments that numpy strikes: the list of their starts,
-    which grows as arith._strike_numpy is called."""
-    starts, strike = [], arith._strike_numpy
-
-    def counted(flags, s, primes):
-        starts.append(s)
-        return strike(flags, s, primes)
-
-    monkeypatch.setattr(arith, "_strike_numpy", counted)
-    return starts
-
-
 def _naive_bits(limit):
     flags = np.frombuffer(bytes(prime_flags(limit)), dtype=np.uint8)
     return np.packbits(flags, bitorder="little").tobytes()
@@ -185,10 +174,12 @@ def test_sieve_window_near_one_billion():
 
 
 def test_sieve_window_small_segments(monkeypatch):
-    # many segment edges inside short windows
+    # many segment edges inside short windows, and scans of 100 to 200
+    # segments from 0 and from 1001, each segment in a window of its own
     monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
-    flags = prime_flags(3000)
-    for lo, hi in ((0, 3000), (1, 47), (2, 16), (17, 33), (1000, 2999)):
+    flags = prime_flags(3201)
+    for lo, hi in ((0, 3000), (1, 47), (2, 16), (17, 33), (1000, 2999), (0, 1600), (0, 1601),
+                   (0, 3201), (1001, 2600), (1001, 2601)):
         assert _scan_mask(lo, hi).tolist() == [bool(f) for f in flags[lo: hi + 1]]
     assert sieve(3000).bits == _naive_bits(3000)
 
@@ -198,10 +189,10 @@ def test_strike_one_full_segment_near_two_to_48():
     # or not at all, and the segment must not cost memory for each of them
     s = 2**48 + 1
     e = s + 2 * SEGMENT_BITS - 2
-    strike = arith._odd_sieve(e)[1]
+    flags = arith._odd_sieve(e)
     tracemalloc.start()
     try:
-        bits = strike(s, e)
+        bits = _pack(flags(s, e), 2)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -226,9 +217,11 @@ def _peak_mib(build):
 def test_prime_scan_works_in_one_segment_of_memory():
     # a full segment's flags (1 MiB), its bits and the window's: no segment-
     # long copy of the 3..13 pattern, and zeros only as long as the longest
-    # slice that crosses off a prime past it (n / 17 bytes)
-    peak = _peak_mib(lambda: arith.tally_primes(10**8))
-    assert peak < 3.5, peak
+    # slice that crosses off a prime past it (n / 17 bytes); to 10**8, and
+    # to 2.2 * 10**8, 105 segments
+    for limit in (10**8, 220_000_000):
+        peak = _peak_mib(lambda: arith.tally_primes(limit))
+        assert peak < 3.5, (limit, peak)
     # a first window of 2**14 integers costs its own size, whatever the
     # scan's reach (it sieves base primes for 4 * 10**8)
     peak = _peak_mib(lambda: next(arith.prime_windows(10**8, 2 * 10**9)))
@@ -238,7 +231,7 @@ def test_prime_scan_works_in_one_segment_of_memory():
 def test_presieved_segments_at_every_phase_of_the_pattern():
     # the pattern fills a segment from the phase of s // 2 mod _WHEEL and
     # doubles; lengths in odd numbers about one and two periods, and a full
-    # segment, against the oracle, pure and under numpy
+    # segment, against the oracle, as flags and packed
     wheel, seg = arith._WHEEL, SEGMENT_BITS
     starts = [2 * (q * wheel + r) + 1 for q, r in ((0, 0), (0, 1), (0, 6), (1, wheel // 3),
                                                    (2, wheel // 2), (3, wheel - 8),
@@ -246,7 +239,7 @@ def test_presieved_segments_at_every_phase_of_the_pattern():
     lengths = (1, wheel - 1, wheel, wheel + 1, 2 * wheel + 1, seg)
     top = max(starts) + 2 * seg
     want_flags = prime_flags(top)
-    flags, strike = arith._odd_sieve(top)
+    flags = arith._odd_sieve(top)
     for s in starts:
         for n in lengths:
             e = s + 2 * (n - 1)
@@ -256,7 +249,17 @@ def test_presieved_segments_at_every_phase_of_the_pattern():
             want_bits = int.from_bytes(np.packbits(spread, bitorder="little").tobytes(), "little")
             got = flags(s, e)
             assert got[:n] == want and not any(got[n:]) and len(got) % 4 == 0, (s, n)
-            assert strike(s, e) == strike(s, e, bulk=True) == want_bits, (s, n)
+            assert _pack(got, 2) == want_bits, (s, n)
+
+
+def test_base_primes_are_the_odd_primes_up_to_the_root():
+    # listed a segment at a time from 3: to the first segment's end, one
+    # past it, and every base prime a window below 2**48 needs
+    seg = 2 * SEGMENT_BITS
+    for root in (1, 2, 3, 4, seg + 2, seg + 3, arith._BASE_PRIME_LIMIT):
+        flags = prime_flags(root)
+        assert arith._base_primes(root).tolist() == list(compress(range(3, root + 1, 2),
+                                                                  flags[3::2])), root
 
 
 def test_sieve_window_across_two_to_48():
@@ -350,56 +353,20 @@ def test_composite_bits_complement_the_prime_bits(monkeypatch):
     assert [(got >> i) & 1 for i in range(301)] == [is_composite(n) for n in range(lo, lo + 301)]
 
 
-def test_kernel_modes_give_identical_bits_at_segment_edges(monkeypatch):
-    # the pure slice loop, numpy's one-step first multiples, and a scan that
-    # switches after its first segment, each forced by the two limits; the
-    # segments numpy strikes are counted
-    modes = {"pure": (math.inf, math.inf), "numpy": (0, 0), "switched": (math.inf, 1)}
+def test_prime_windows_match_the_window_oracle_at_segment_edges():
+    # windows from 0, 1 and 2 across two segment edges, with and without an
+    # overlap past a segment, and a segment's width either side of 10**9
+    # and below 2**48 to past it, where every base prime below 2**24 is listed
     seg = 2 * SEGMENT_BITS
     cases = [(lo, lo + 2 * seg + 5, overlap) for lo in (0, 1, 2) for overlap in (0, seg + 7)]
     cases += [(10**9 - seg - 3, 10**9 + seg + 3, 0), (2**48 - 2**15 - 3, 2**48 + 2**14, 0)]
-    numpy_starts = _numpy_strikes(monkeypatch)
     for lo, hi, overlap in cases:
-        got, struck = {}, {}
-        for mode, (primes, segments) in modes.items():
-            monkeypatch.setattr(arith, "_NUMPY_PRIMES", primes)
-            monkeypatch.setattr(arith, "_NUMPY_SEGMENTS", segments)
-            numpy_starts.clear()
-            got[mode] = list(arith.prime_windows(lo, hi, overlap))
-            struck[mode] = len(numpy_starts)
-        assert got["pure"] == got["numpy"] == got["switched"], (lo, hi, overlap)
-        assert struck["pure"] == 0 and struck["numpy"] >= 3, (lo, hi, overlap, struck)
-        if hi - lo > 2 * seg:  # past K = 1 segment, more than one is left
-            assert 0 < struck["switched"] < struck["numpy"], (lo, hi, overlap, struck)
-        for w in got["pure"]:
+        want = window_prime_flags(lo, hi)
+        _check_prime_windows(lo, hi, overlap, want)
+        for w in arith.prime_windows(lo, hi, overlap):
             text = _window_text(w)
             for i in {*range(min(40, w.size)), *range(max(w.size - 40, 0), w.size)}:
                 assert text[i] == "01"[is_prime(w.start + i)], w.start + i
-
-
-def test_scan_goes_to_numpy_only_when_k_segments_are_left(monkeypatch):
-    # with 16-integer segments a scan from 0 strikes one segment per window,
-    # and its (K + 1)-th starts at a = 16 * K + 1.  Numpy's import pays off
-    # over K segments: the scan hands numpy the rest only if hi - a >= 16 * K,
-    # and once it has, numpy strikes every segment to the end
-    monkeypatch.setattr(arith, "SEGMENT_BITS", 8)
-    k = arith._NUMPY_SEGMENTS
-    a = 16 * k + 1
-    numpy_starts = _numpy_strikes(monkeypatch)
-    for hi, want in ((a + 16 * k - 1, []), (a + 16 * k, list(range(a, a + 16 * k + 1, 16))),
-                     (a + 16 * 3 * k, list(range(a, a + 16 * 3 * k + 1, 16)))):
-        numpy_starts.clear()
-        flags = prime_flags(hi)
-        assert _scan_mask(0, hi).tolist() == [bool(f) for f in flags], hi
-        assert numpy_starts == want, hi
-    # a scan that starts higher counts its K segments from lo
-    numpy_starts.clear()
-    lo = 1001
-    assert _scan_mask(lo, lo + 32 * k - 1).tolist() == [naive_is_prime(n)
-                                                        for n in range(lo, lo + 32 * k)]
-    assert numpy_starts == []
-    _scan_mask(lo, lo + 32 * k)
-    assert numpy_starts == list(range(lo + 16 * k, lo + 32 * k + 1, 16))
 
 
 def test_prime_windows_refuse_only_the_window_past_the_base_prime_limit(monkeypatch):
@@ -483,16 +450,12 @@ def test_tally_primes_streams_what_sieve_joins(tmp_path):
         ["joined.psv"] + [f"streamed-{limit}.psv" for limit in TALLY_LIMITS])
 
 
-def test_tally_primes_past_the_numpy_segment_switch(tmp_path, monkeypatch):
-    # a scan to 110,000,000 strikes 59 windows; past K = 20 of them, more
-    # than K segments are left, so the last 39 go through numpy.  pi(limit)
-    # and the largest prime below it as sympy gives them
+def test_tally_primes_over_fifty_nine_windows(tmp_path):
+    # a scan to 110,000,000 strikes 59 windows; pi(limit) and the largest
+    # prime below it as sympy gives them
     limit = 110_000_000
-    monkeypatch.setattr(arith, "_NUMPY_SEGMENTS", 20)
-    numpy_starts = _numpy_strikes(monkeypatch)
     cache = tmp_path / "big.psv"
     assert arith.tally_primes(limit, cache) == (6_303_309, 109_999_993, False)
-    assert len(numpy_starts) == 39 and numpy_starts[-1] == 52 * 2 * SEGMENT_BITS - 2**14 + 1
     ps = sieve(limit)
     assert (ps.count(), ps.largest_prime()) == (6_303_309, 109_999_993)
     assert cache.read_bytes()[12:] == ps.bits

@@ -610,7 +610,7 @@ NUMPY_FREE = [
     ["witness", "add", "--b", "0,2,5", "--n0", "24850656", "--limit", "2000000000"],
     ["verify-thm1", "--limit", "1000000"],
     ["sieve", "--limit", "100000"],
-    ["sieve", "--limit", "150000000"],  # past K = 50 segments, fewer than 50 are left
+    ["sieve", "--limit", "150000000"],
     ["decompose", "--kind", "additive", "--composites", "--window", "9,20000",
      "--max-b-size", "3", "--max-b-elem", "8"],
     ["decompose", "--kind", "multiplicative", "--composites", "--window", "9,20000",
@@ -623,42 +623,37 @@ NUMPY_FREE = [
 ]
 
 
-def test_point_queries_start_without_numpy(tmp_path, capsys, monkeypatch):
-    from decomplab import arith
-
+def test_point_queries_start_without_numpy(tmp_path, capsys):
     # nor do a sieve read back from a matching cache and a smooth set written out
     cache = tmp_path / "sieve.psv"
     sieve(1000).save(cache)
     argvs = NUMPY_FREE + [["sieve", "--limit", "1000", "--cache", str(cache)],
                           ["smooth", "--policy", "log", "--factor", "3", "--limit", "200000",
                            "--out", str(tmp_path / "smooth.txt")]]
+    # nor do long scans: 101 segments from 0, and a window near 2**48, where
+    # every base prime below 2**24 is listed; their reports are the ones run
+    # in-process
+    scans = [["sieve", "--limit", "210000000"],
+             ["tuple", "find", "--offsets=-2,2", "--window", "281474976710600,281474976710700"]]
     # every test module imports numpy, so the check runs in a fresh interpreter
     script = (
         "import contextlib, io, json, sys\n"
         "from decomplab.cli import run\n"
-        "codes = []\n"
+        "runs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        codes.append(run(argv + ['--json']))\n"
-        "print(json.dumps([codes, 'numpy' in sys.modules]))\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "        runs.append([run(argv + ['--json']), out.getvalue()])\n"
+        "print(json.dumps([runs, 'numpy' in sys.modules]))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs + scans)],
                           capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [[EXIT_OK] * len(argvs), False]
-    # a process that first imports numpy inside a command reports as run
-    # in-process: past the scan's first 50 segments this sieve has 57 left,
-    # and numpy strikes them
-    argv = ["sieve", "--limit", "210000000"]
-    proc = subprocess.run([sys.executable, "-m", "decomplab", *argv, "--json"],
-                          capture_output=True, text=True)
-    starts, strike = [], arith._strike_numpy
-    monkeypatch.setattr(arith, "_strike_numpy",
-                        lambda flags, s, primes: starts.append(s) or strike(flags, s, primes))
-    code, report = run_json(capsys, argv)
-    assert (proc.returncode, proc.stderr) == (code, "")
-    assert canonical(json.loads(proc.stdout)) == canonical(report)
-    assert len(starts) == 57
+    assert (proc.returncode, proc.stderr) == (0, "")
+    runs, numpy_loaded = json.loads(proc.stdout)
+    assert not numpy_loaded
+    assert [code for code, _ in runs[: len(argvs)]] == [EXIT_OK] * len(argvs)
+    for argv, (code, out) in zip(scans, runs[len(argvs):]):
+        want_code, want = run_json(capsys, argv)
+        assert (code, canonical(json.loads(out))) == (want_code, canonical(want)), argv
 
 
 # the layers whose code each command runs, besides cli; a layer runs on first use.

@@ -12,8 +12,8 @@ searcher to rediscover the part {0,1,3,5} with no hints.
 from decomplab import (
     IntegerSet,
     SmoothnessPolicy,
+    composite_bits,
     decompose_search,
-    sieve,
     smooth_set,
     verify_composite_decomposition,
 )
@@ -30,10 +30,7 @@ print(f"  composites in [9, {LIMIT:,}]: {report.composite_count:,}")
 print(f"  covered by A + {{0,1,3,5}}:  {report.covered_count:,}")
 print(f"  passed: {report.passed} (first mismatch: {report.first_mismatch})")
 
-mask = sieve(LIMIT).mask()
-target = IntegerSet(
-    tuple(n for n in range(9, LIMIT + 1) if not mask[n]), 9, LIMIT
-)
+target = IntegerSet(composite_bits(9, LIMIT), 9, LIMIT)
 
 print("\nsearching additive parts of size <= 3 with elements <= 50 ...")
 small = decompose_search(target, "additive", max_b_size=3, max_b_elem=50)

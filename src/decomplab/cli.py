@@ -408,15 +408,11 @@ def _build_parser(argv) -> _Parser:
 
 
 def _command_name(args) -> str:
-    parts = [args.command]
-    for attr in ("tuple_command", "witness_command", "semigroup_command"):
-        if getattr(args, attr, None):
-            parts.append(getattr(args, attr))
-    return " ".join(parts)
+    return next(path for path, (func, _) in _COMMANDS.items() if func is args.func)
 
 
 def _params_record(args) -> dict:
-    skip = {"func", "json", "command", "tuple_command", "witness_command", "semigroup_command"}
+    skip = {"func", "json", "command", f"{args.command}_command"}
     return {k: v for k, v in sorted(vars(args).items()) if k not in skip}
 
 

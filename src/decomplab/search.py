@@ -153,8 +153,7 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
 
         return allowed, None, narrow, covers, has, as_set
 
-    data = target._data
-    allowed = _flags(data << lo if type(data) is int else data, 0, hi + 1)
+    allowed = target._mask_flags()
     allowed[1:lo] = b"\1" * (lo - 1)  # c_min = 1, and combinations below the window are free
     quotients: dict[int, int] = {}  # q(d) for each d of the pool
 

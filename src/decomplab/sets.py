@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import chain, islice, starmap
+from itertools import islice, starmap
 from operator import lt
 
 from . import _Record, _flags, _pack, _unpack
@@ -45,7 +45,7 @@ def _check_range(elements, window_lo: int, window_hi: int) -> None:
             raise ValueError("elements must not exceed 2**63")
 
 
-class IntegerSet:
+class IntegerSet(_Record):
     """Sorted, deduplicated non-negative integers, asserted complete on
     [window_lo, window_hi].
 
@@ -68,20 +68,12 @@ class IntegerSet:
     full (strictly increasing, inside the window, at most 2**63) and then
     converted.  An array('Q') is taken as sorted and distinct, as
     from_values, sumset, productset and the smooth sets build it, and only
-    its ends are checked.  An IntegerSet is immutable and not hashable.
+    its ends are checked.  An IntegerSet is an immutable record, not hashable.
     """
 
-    __slots__ = ("_data", "window_lo", "window_hi")
-    __hash__ = None
+    __slots__ = ("_data", "window_lo", "window_hi")  # __eq__ without __hash__: unhashable
 
-    def __init__(self, elements, window_lo: int, window_hi: int):
-        object.__setattr__(self, "_data", elements)
-        object.__setattr__(self, "window_lo", window_lo)
-        object.__setattr__(self, "window_hi", window_hi)
-        self.__post_init__()
-
-    def __post_init__(self):
-        # the checks, apart from __init__: perfbench's tracer wraps this name
+    def __post_init__(self):  # perfbench's tracer wraps this name
         data, lo, hi = self._data, self.window_lo, self.window_hi
         if type(data) is int:
             if data < 0:
@@ -97,15 +89,6 @@ class IntegerSet:
                 raise ValueError("elements must be strictly increasing")
             prev = v
         object.__setattr__(self, "_data", array("Q", data))
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"IntegerSet is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"IntegerSet is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__, not setattr
-        return IntegerSet, (self._data, self.window_lo, self.window_hi)
 
     @classmethod
     def from_values(cls, values, window_lo=None, window_hi=None) -> "IntegerSet":
@@ -150,45 +133,38 @@ class IntegerSet:
     def __repr__(self):
         return f"IntegerSet({self.elements!r}, {self.window_lo}, {self.window_hi})"
 
+    def _range(self, lo: int, hi: int) -> array:
+        """The elements in [lo, hi], ascending: bisected out of the array form,
+        or shifted and masked out of the bits form up to its top set bit."""
+        data, start = self._data, self.window_lo
+        if type(data) is not int:
+            return data[bisect_left(data, lo): bisect_right(data, hi)]
+        lo, hi = max(lo, start), min(hi, start + data.bit_length() - 1)
+        part = data >> (lo - start) if lo > start else data  # x >> 0 would copy x
+        return _unpack(part & ((1 << max(hi - lo + 1, 0)) - 1), lo)
+
     def slice(self, lo: int, hi: int) -> tuple[int, ...]:
         """Elements in [lo, hi]."""
-        data = self._data
-        if type(data) is int:
-            lo, hi = max(lo, self.window_lo), min(hi, self.window_hi)
-            if lo > hi:
-                return ()
-            part = data >> (lo - self.window_lo) & ((1 << (hi - lo + 1)) - 1)
-            return tuple(_unpack(part, lo))
-        return tuple(data[bisect_left(data, lo): bisect_right(data, hi)])
+        return tuple(self._range(lo, hi))
 
     def head(self, k: int) -> tuple[int, ...]:
         """The k least elements (all of them if there are fewer)."""
-        data = self._data
-        if k <= 0:
-            return ()
-        if type(data) is not int:
-            return tuple(data[:k])
-        width = 64 * k  # the bits read grow fourfold until they hold k elements
-        while True:
-            part = data & ((1 << width) - 1)
-            if part.bit_count() >= k or width >= data.bit_length():
-                return tuple(_unpack(part, self.window_lo)[:k])
-            width *= 4
+        return self._end(k, False)
 
     def tail(self, k: int) -> tuple[int, ...]:
         """The k greatest elements (all of them if there are fewer)."""
-        data = self._data
-        if k <= 0:
-            return ()
-        if type(data) is not int:
-            return tuple(data[-k:])
-        width = 64 * k
-        while True:
-            cut = max(data.bit_length() - width, 0)
-            part = data >> cut
-            if part.bit_count() >= k or not cut:
-                return tuple(_unpack(part, self.window_lo + cut)[-k:])
+        return self._end(k, True)
+
+    def _end(self, k: int, top: bool) -> tuple[int, ...]:
+        """head(k), or tail(k) if top: one range from that end of the window,
+        64 * k integers wide, widened fourfold until it holds k elements."""
+        lo, hi, width = self.window_lo, self.window_hi, 64 * k
+        while k > 0:
+            part = self._range(hi - width + 1, hi) if top else self._range(lo, lo + width - 1)
+            if len(part) >= k or width > hi - lo:
+                return tuple(part[-k:] if top else part[:k])
             width *= 4
+        return ()
 
     def as_bits(self) -> int:
         """Membership over [window_lo, window_hi] as one int: bit i stands
@@ -204,9 +180,12 @@ class IntegerSet:
         """Dense membership mask over [0, window_hi]."""
         import numpy as np
         check_mask_budget(self.window_hi)
-        data, size = self._data, self.window_hi + 1
-        flags = _flags(data << self.window_lo if type(data) is int else data, 0, size)
-        return np.frombuffer(flags, dtype=bool)[:size]
+        return np.frombuffer(self._mask_flags(), dtype=bool)[: self.window_hi + 1]
+
+    def _mask_flags(self) -> bytearray:
+        """Flags over [0, window_hi], or more; the caller checks MASK_BUDGET."""
+        data = self._data
+        return _flags(data << self.window_lo if type(data) is int else data, 0, self.window_hi + 1)
 
     def save_text(self, path) -> None:
         """Text format: header "# window lo hi", then one integer per line.  The
@@ -225,50 +204,44 @@ class IntegerSet:
 
     @classmethod
     def load_text(cls, path) -> "IntegerSet":
-        """Reads the text format a slice of _READ_SLICE characters at a time,
-        into the form the smooth sets take.  While the values number at most
-        1/64 of the window they go into one array('Q'), and an array that
-        does not strictly increase is sorted and deduplicated by from_values.
-        Once they pass 1/64, on a window no wider than MASK_BUDGET, the
-        values so far and every slice after them are set in bits, one slice
-        at a time: neither the whole array nor flags over the whole window
-        are ever held, and bits, like from_values, ignore order and repeats.
-        A value that the array cannot hold (below 0 or past 2**64) or that
-        lies outside the bits' window sends the file through from_values
-        instead, so that it fails with from_values' ValueError."""
+        """Reads the text format in one pass, a slice of _READ_SLICE characters
+        at a time, into the form the smooth sets take.  While the values number
+        at most 1/64 of the window they go into one array('Q'), sorted and
+        deduplicated by from_values if they do not strictly increase.  Once
+        they pass 1/64, on a window no wider than MASK_BUDGET, the values so
+        far and every slice after them are set in bits: neither the whole
+        array nor flags over the whole window are ever held, and bits, like
+        from_values, ignore order and repeats."""
         with open(path) as fh:
             header = fh.readline().split()
             if len(header) != 4 or header[0] != "#" or header[1] != "window":
                 raise ValueError(f"{path}: missing '# window lo hi' header")
             lo, hi = int(header[2]), int(header[3])
+            _check_range((), lo, hi)
             width = hi - lo + 1
-            fits = 0 <= lo <= hi and width <= MASK_BUDGET  # a window the bits form may take
-            values, slices = array("Q"), _text_slices(fh)
-            try:
-                for part in slices:
-                    values.extend(part)
-                    if fits and 64 * len(values) > width:
-                        break
-                else:
-                    if all(map(lt, values, islice(values, 1, None))):
-                        return cls(values, lo, hi)
-                    return cls.from_values(values, lo, hi)
-            except OverflowError:
-                pass
+            values, ends, slices = array("Q"), [], _text_slices(fh, lo, hi)
+            for part, a, z in slices:
+                values.extend(part)
+                ends.append((len(values), a, z))
+                if 64 * len(values) > width and width <= MASK_BUDGET:
+                    break
             else:
-                bits, top = bytearray((width + 7) // 8), min(hi, VALUE_CAP)
-                step = _READ_SLICE // 8  # about as many values as a slice of text holds
-                head = (values[a: a + step].tolist() for a in range(0, len(values), step))
-                if all(_set_bits(bits, part, lo, top) for part in chain(head, slices)):
-                    return cls(int.from_bytes(bits, "little"), lo, hi)
-            fh.seek(0)
-            fh.readline()
-            return cls.from_values(map(int, filter(str.strip, fh)), lo, hi)
+                if all(map(lt, values, islice(values, 1, None))):
+                    return cls(values, lo, hi)
+                return cls.from_values(values, lo, hi)
+            bits, start = bytearray((width + 7) // 8), 0
+            for stop, a, z in ends:  # the values so far, slice by slice
+                _set_bits(bits, values[start: stop].tolist(), lo, a, z)
+                start = stop
+            for part, a, z in slices:
+                _set_bits(bits, part, lo, a, z)
+            return cls(int.from_bytes(bits, "little"), lo, hi)
 
 
-def _text_slices(fh):
-    """The integers on the lines left in fh, one list per _READ_SLICE
-    characters read; blank lines are skipped, and slices of nothing else."""
+def _text_slices(fh, lo: int, hi: int):
+    """The integers on the lines left in fh, one list per _READ_SLICE characters
+    read, with its ends, checked as the constructor checks them (so a bad value
+    fails with its ValueError); blank lines are skipped, and slices of nothing else."""
     rest = ""
     while True:
         text = fh.read(_READ_SLICE)
@@ -279,17 +252,16 @@ def _text_slices(fh):
         except ValueError:  # a blank line; a line that is no integer raises again
             part = list(map(int, filter(str.strip, lines)))
         if part:
-            yield part
+            a, z = min(part), max(part)
+            _check_range((a, z), lo, hi)
+            yield part, a, z
         if not text:
             return
 
 
-def _set_bits(bits: bytearray, part: list, lo: int, top: int) -> bool:
-    """Sets bit v - lo of bits for each v of part, in any order, or returns
-    False, with bits partly set, when a v lies outside [lo, top]."""
-    a, z = min(part), max(part)
-    if a < lo or z > top:
-        return False
+def _set_bits(bits: bytearray, part: list, lo: int, a: int, z: int) -> None:
+    """Sets bit v - lo of bits for each v of part, in any order; a and z are
+    the least and the greatest v."""
     k = (a - lo) >> 3  # the byte of bits that holds a
     base = lo + 8 * k
     if z - base < 32 * len(part):  # flags over the span: at most 4 times part as an array
@@ -300,7 +272,6 @@ def _set_bits(bits: bytearray, part: list, lo: int, top: int) -> bool:
         for v in part:
             v -= lo
             bits[v >> 3] |= 1 << (v & 7)
-    return True
 
 
 def sumset(b: IntegerSet, c: IntegerSet) -> IntegerSet:

@@ -165,9 +165,12 @@ def test_load_text_reads_a_dense_file_as_bits(tmp_path, monkeypatch):
 
 def test_load_text_fails_past_the_switch_to_bits_as_before(tmp_path, monkeypatch):
     # a value outside the window, below 0, past 2**63 or past 2**64 met after
-    # the switch: the same ValueError as from an array, which from_values
-    # raises on a second read of the file
+    # the switch: the same ValueError as from an array, raised in the one
+    # pass over a sorted file, with no second read through from_values
     monkeypatch.setattr(sets, "_READ_SLICE", 64)
+    calls, from_values = [], IntegerSet.from_values.__func__
+    monkeypatch.setattr(IntegerSet, "from_values",
+                        classmethod(lambda cls, *args: calls.append(args) or from_values(cls, *args)))
     path = tmp_path / "t.txt"
     top = 1 << 63
     for lo, hi, bad, message in ((10, 1000, 1001, "inside the window"),
@@ -181,8 +184,13 @@ def test_load_text_fails_past_the_switch_to_bits_as_before(tmp_path, monkeypatch
         _write(path, lo, hi, values + [bad])
         with pytest.raises(ValueError, match=message):
             IntegerSet.load_text(path)
+    assert not calls
     path.write_text("# window 10 1000\n" + "\n".join(map(str, range(10, 200))) + "\nx\n")
     with pytest.raises(ValueError, match="invalid literal"):
+        IntegerSet.load_text(path)
+    # of two faults, the one met first in the file is reported
+    path.write_text("# window 10 1000\n1001\n" + "\n".join(map(str, range(10, 200))) + "\nx\n")
+    with pytest.raises(ValueError, match="inside the window"):
         IntegerSet.load_text(path)
 
 
@@ -267,12 +275,30 @@ def test_unpack_reads_either_side_of_its_density_cut():
 
 def test_bits_form_head_and_tail_across_wide_gaps():
     # elements far apart at both ends, so head and tail widen their reads
-    # several times before they hold k elements
-    lo, hi = 5, (1 << 20) + 5
-    values = [lo, lo + 1000, *range(lo + 500000, lo + 500100), hi - 3000, hi]
-    dense = IntegerSet(_bits_of(values, lo), lo, hi)
-    for k in (1, 2, 3, 50, 104, 105):
-        assert dense.head(k) == tuple(values[:k]) and dense.tail(k) == tuple(values[-k:])
+    # several times before they hold k elements; in the wider window the
+    # tail's reads start far above the top element
+    lo, top = 5, (1 << 20) + 5
+    values = [lo, lo + 1000, *range(lo + 500000, lo + 500100), top - 3000, top]
+    for hi in (top, 1 << 26):
+        for s in (IntegerSet(_bits_of(values, lo), lo, hi), IntegerSet(array("Q", values), lo, hi)):
+            for k in (-1, 0, 1, 2, 3, 50, 104, 105):
+                n = max(k, 0)
+                assert s.head(k) == tuple(values[:n]), (hi, k)
+                assert s.tail(k) == tuple(values[max(len(values) - n, 0):]), (hi, k)
+
+
+def test_reads_of_a_wide_window_hold_no_mask_as_wide_as_it():
+    # one element in a window of 2**28 integers: a read is as wide as the
+    # bits, up to their top set bit, not as the window
+    s = IntegerSet(1, 0, 1 << 28)
+    tracemalloc.start()
+    try:
+        reads = (s.slice(0, 1 << 28), s.slice(1, 1 << 28), s.head(2), s.tail(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert reads == ((0,), (), (0,), (0,))
+    assert peak < 1 << 20, peak
 
 
 def test_additive_bits_path_matches_oracle_at_window_edges():

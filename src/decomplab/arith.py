@@ -37,9 +37,10 @@ _MERTENS = 0.2615  # Sum_{p <= x} 1 / p = ln ln x + M + o(1)
 
 
 class PrimeSieve(_Record):
-    """Packed primality bits over [0, limit]: bit i of byte j covers 8j + i.
-    It holds the whole bitset; the `sieve` command needs none of it and
-    tallies the scan or the cache one window at a time (tally_primes)."""
+    """Packed primality bits over [0, limit]: bit i of byte j covers 8j + i,
+    read as the codec's flags (mask) or as a bits-form IntegerSet (primes).
+    The `sieve` command holds none of it: tally_primes tallies the scan or
+    the cache one window at a time."""
 
     __slots__ = ("limit", "bits")
 
@@ -51,15 +52,15 @@ class PrimeSieve(_Record):
     def count(self) -> int:
         return _tally(_slices(io.BytesIO(self.bits)))[0]
 
-    def mask(self) -> np.ndarray:
-        """Boolean primality array over [0, limit]."""
-        import numpy as np
-        arr = np.unpackbits(np.frombuffer(self.bits, dtype=np.uint8), bitorder="little")
-        return arr[: self.limit + 1].astype(bool)
+    def mask(self) -> bytearray:
+        """Primality flags over [0, limit]: byte n is 1 when n is prime."""
+        flags = _flags(self.bits, 0, 0)
+        del flags[self.limit + 1:]  # the padding bits' flags, cut in place
+        return flags
 
-    def primes(self) -> np.ndarray:
-        import numpy as np
-        return np.flatnonzero(self.mask())
+    def primes(self) -> sets.IntegerSet:
+        """The primes as a bits-form IntegerSet on [0, limit], unpacked when read."""
+        return sets.IntegerSet(int.from_bytes(self.bits, "little"), 0, self.limit)
 
     def largest_prime(self) -> int | None:
         """The largest prime <= limit: the top set bit."""

@@ -102,7 +102,7 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
 
 def _dense_path(target: IntegerSet, additive: bool, c_min: int):
     """_search's steps over the whole window [0, hi], on ints of bits, bit i
-    standing for i, with no numpy either way.
+    standing for i.
 
     Additive: allowed is the target T plus [0, lo - 1], the images free
     below the window, and start, the c of (0,); narrow ANDs c with
@@ -111,10 +111,10 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
     AND NOT the OR of c << beta; and c becomes a bits-form IntegerSet.
     divides is None: additive parts are not drawn from divisors.
 
-    Multiplicative: allowed is one byte per integer of [0, hi], 1 for T
-    and [1, lo - 1], so that allowed[::beta] gathers the multiples of beta
-    in one slice; from lo on it is T's flags, which is all that divides
-    and covers read.  S_beta is q(beta), the bits of allowed[::beta],
+    Multiplicative: allowed is T's as_mask, a byte per integer of [0, hi],
+    with [1, lo - 1] set, so that allowed[::beta] gathers the multiples of
+    beta in one slice; from lo on it is T's flags, which is all that
+    divides and covers read.  S_beta is q(beta), the bits of allowed[::beta],
     packed by divides for each d of the pool.  start is None, the c of the
     empty part: narrow(None, beta) returns q(beta) itself, shared and not
     copied, and otherwise ANDs c with it, which ends c at climit.  covers
@@ -153,7 +153,7 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
 
         return allowed, None, narrow, covers, has, as_set
 
-    allowed = target._mask_flags()
+    allowed = target.as_mask()
     allowed[1:lo] = b"\1" * (lo - 1)  # c_min = 1, and combinations below the window are free
     quotients: dict[int, int] = {}  # q(d) for each d of the pool
 

@@ -176,16 +176,14 @@ class IntegerSet(_Record):
         check_mask_budget(self.window_hi - lo)
         return _pack(_flags(data, lo, self.window_hi - lo + 1))
 
-    def as_mask(self) -> np.ndarray:
-        """Dense membership mask over [0, window_hi]."""
-        import numpy as np
+    def as_mask(self) -> bytearray:
+        """Membership flags over exactly [0, window_hi], byte i 1 when i is an
+        element: a byte per integer, so a mask past MASK_BUDGET is refused."""
         check_mask_budget(self.window_hi)
-        return np.frombuffer(self._mask_flags(), dtype=bool)[: self.window_hi + 1]
-
-    def _mask_flags(self) -> bytearray:
-        """Flags over [0, window_hi], or more; the caller checks MASK_BUDGET."""
-        data = self._data
-        return _flags(data << self.window_lo if type(data) is int else data, 0, self.window_hi + 1)
+        data, size = self._data, self.window_hi + 1
+        flags = _flags(data << self.window_lo if type(data) is int else data, 0, size)
+        del flags[size:]  # the bits' padding, cut in place
+        return flags
 
     def save_text(self, path) -> None:
         """Text format: header "# window lo hi", then one integer per line.  The
@@ -361,11 +359,11 @@ def decompose_search(
     suppress truncation edge artifacts; full_window=True checks the whole
     window instead.
 
-    Two paths give the same candidates, and neither imports numpy.  The
-    dense path works over the whole window [0, hi], so each part costs
-    passes over all of it: both kinds on ints of bits, multiplicative ones
-    gathering their multiples from one byte per integer of the window.
-    The sparse path works on the target's elements.  It is taken when
+    Two paths give the same candidates.  The dense path works over the
+    whole window [0, hi], so each part costs passes over all of it: both
+    kinds on ints of bits, multiplicative ones gathering their multiples
+    from one byte per integer of the window (as_mask).  The sparse path
+    works on the target's elements.  It is taken when
     64 * (|target| + lo) <= hi: the target and the free range below the
     window fill at most 1/64 of it.  The factor comes from timing both
     paths in process on one machine, when every part rebuilt its c from

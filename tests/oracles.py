@@ -49,6 +49,12 @@ def naive_sieve(limit):
     return [n for n in range(limit + 1) if flags[n]]
 
 
+def composites_window(lo, hi):
+    """The composites of [lo, hi] as an IntegerSet on that window."""
+    flags = prime_flags(hi)
+    return IntegerSet(tuple(n for n in range(max(lo, 2), hi + 1) if not flags[n]), lo, hi)
+
+
 def composite_cover_reports(limits, offsets=(0, 1, 3, 5)):
     """The fields of the composite-cover report at each limit, straight from
     the definitions: A = {n >= 1 : none of n + u (u in offsets) is prime},
@@ -90,10 +96,11 @@ def naive_unpack(bits, start):
 
 
 def naive_pack(flags, step=1):
-    """Flags as bits, bit step * k set when flags[k] is, one binary digit at
-    a time."""
-    gap = "0" * (step - 1)
-    return int("0" + "".join(gap + ("1" if flag else "0") for flag in reversed(flags)), 2)
+    """Flags as bits, bit step * k set when flags[k] is: a binary numeral whose
+    digit step * k is 1 when flags[k] is set, read by int."""
+    digits = bytearray(b"0" * (step * len(flags)))
+    digits[::step] = bytes(flags).translate(b"0" + b"1" * 255)
+    return int(b"0" + digits[::-1], 2)
 
 
 def naive_factorize(n):

@@ -38,7 +38,7 @@ from decomplab import (
 )
 from decomplab.cli import EXIT_OK, run
 from decomplab.tuples import is_admissible
-from oracles import additive_accepted_parts, sunit_triples
+from oracles import additive_accepted_parts, composites_window, sunit_triples
 
 
 def _check(label, ok, detail=""):
@@ -51,11 +51,6 @@ def _check(label, ok, detail=""):
 def _run_cli_quiet(argv):
     with contextlib.redirect_stdout(io.StringIO()):
         return run(argv)
-
-
-def composites_window(lo, hi):
-    mask = sieve(hi).mask()
-    return IntegerSet(tuple(n for n in range(max(lo, 2), hi + 1) if not mask[n]), lo, hi)
 
 
 def test_composite_cover_exact_at_one_million():

@@ -7,7 +7,6 @@ import tracemalloc
 from bisect import bisect_left
 from itertools import compress
 
-import numpy as np
 import pytest
 
 from decomplab import _pack, arith, primes
@@ -25,8 +24,8 @@ from decomplab import (
 )
 from decomplab.arith import SEGMENT_BITS
 from decomplab.sets import MASK_BUDGET
-from oracles import (naive_factorize, naive_is_prime, naive_sieve, naive_smooth, prime_flags,
-                     window_prime_flags)
+from oracles import (naive_factorize, naive_is_prime, naive_pack, naive_sieve, naive_smooth,
+                     prime_flags, window_prime_flags)
 
 
 def test_is_prime_edge_cases():
@@ -91,6 +90,32 @@ def test_sieve_agrees_with_miller_rabin():
         assert bool(mask[n]) == is_prime(n)
 
 
+def test_views_are_flags_and_sets_without_numpy():
+    # mask and as_mask are flags over [0, top], primes a bits-form set; a
+    # test module imports numpy, so the views are read in a fresh interpreter
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from oracles import naive_sieve, prime_flags\n"
+        "from decomplab import IntegerSet, sieve\n"
+        "ps = sieve(1000)\n"
+        "assert ps.mask() == prime_flags(1000)\n"
+        "assert list(ps.primes()) == naive_sieve(1000)\n"
+        "assert ps.primes() == IntegerSet(naive_sieve(1000), 0, 1000)\n"
+        "values, flags = (4, 6, 8, 9), bytearray(13)\n"
+        "for v in values:\n"
+        "    flags[v] = 1\n"
+        "array_form = IntegerSet(values, 2, 12)\n"
+        "bits_form = IntegerSet(array_form.as_bits(), 2, 12)\n"
+        "assert array_form.as_mask() == bits_form.as_mask() == flags\n"
+        "assert ps.primes().as_mask() == prime_flags(1000)\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, os.path.dirname(__file__)],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
 def test_sieve_contract_violations(monkeypatch):
     ps = sieve(50)
     with pytest.raises(ValueError):
@@ -110,22 +135,21 @@ def test_resource_limits_refuse_before_allocating():
     assert issubclass(ResourceLimitError, MemoryError)
 
 
-def _window_mask(w):
-    """A PrimeWindow's bits as a boolean array over the window."""
-    packed = np.frombuffer(w.to_bytes(), dtype=np.uint8)
-    return np.unpackbits(packed, count=w.size, bitorder="little").view(bool)
+def _window_flags(w):
+    """A PrimeWindow's bytes as flags over the window, byte i 1 when
+    w.start + i is prime: their binary digits, least significant first."""
+    digits = format(int.from_bytes(w.to_bytes(), "little"), "b").zfill(w.size)[::-1]
+    return digits.encode().translate(bytes.maketrans(b"01", b"\0\1"))
 
 
-def _scan_mask(lo, hi):
-    """Primality over [lo, hi] as one boolean array: the prime scan's
+def _scan_flags(lo, hi):
+    """Primality over [lo, hi] as one run of flags: the prime scan's
     windows, joined; empty when lo > hi."""
-    return np.concatenate([np.zeros(0, dtype=bool),
-                           *(_window_mask(w) for w in arith.prime_windows(lo, hi))])
+    return b"".join(_window_flags(w) for w in arith.prime_windows(lo, hi))
 
 
 def _naive_bits(limit):
-    flags = np.frombuffer(bytes(prime_flags(limit)), dtype=np.uint8)
-    return np.packbits(flags, bitorder="little").tobytes()
+    return naive_pack(prime_flags(limit)).to_bytes((limit + 8) // 8, "little")
 
 
 # the ends of the prime scan's first windows from 0: 2**14 new integers,
@@ -143,8 +167,8 @@ def test_sieve_bits_match_naive_packing():
 
 def test_sieve_window_matches_is_prime_across_segment_edges():
     top = 6 * SEGMENT_BITS + 3
-    window = _scan_mask(0, top)
-    assert np.array_equal(window, np.frombuffer(bytes(prime_flags(top)), dtype=bool))
+    window = _scan_flags(0, top)
+    assert window == prime_flags(top)
     for k in range(1, 7):
         for n in range(k * SEGMENT_BITS - 3, k * SEGMENT_BITS + 4):
             assert window[n] == is_prime(n), n
@@ -154,14 +178,14 @@ def test_sieve_window_matches_is_prime_across_segment_edges():
     # windows starting just below, at and past each edge
     for k in (1, 2, 3):
         for lo in (k * SEGMENT_BITS - 3, k * SEGMENT_BITS, k * SEGMENT_BITS + 3):
-            got = _scan_mask(lo, lo + 2 * SEGMENT_BITS + 5)
-            assert np.array_equal(got, window[lo: lo + 2 * SEGMENT_BITS + 6]), lo
+            got = _scan_flags(lo, lo + 2 * SEGMENT_BITS + 5)
+            assert got == window[lo: lo + 2 * SEGMENT_BITS + 6], lo
 
 
 def test_sieve_window_low_starts():
     for lo in (0, 1, 2):
         for hi in range(lo - 1, 60):
-            got = _scan_mask(lo, hi).tolist()
+            got = list(_scan_flags(lo, hi))
             assert got == [naive_is_prime(n) for n in range(lo, hi + 1)], (lo, hi)
     with pytest.raises(ValueError):
         next(arith.prime_windows(-1, 10))
@@ -169,8 +193,8 @@ def test_sieve_window_low_starts():
 
 def test_sieve_window_near_one_billion():
     lo = 10**9 - 1000
-    got = _scan_mask(lo, lo + 3000)
-    assert got.tolist() == [is_prime(n) for n in range(lo, lo + 3001)]
+    got = _scan_flags(lo, lo + 3000)
+    assert list(got) == [is_prime(n) for n in range(lo, lo + 3001)]
 
 
 def test_sieve_window_small_segments(monkeypatch):
@@ -180,7 +204,7 @@ def test_sieve_window_small_segments(monkeypatch):
     flags = prime_flags(3201)
     for lo, hi in ((0, 3000), (1, 47), (2, 16), (17, 33), (1000, 2999), (0, 1600), (0, 1601),
                    (0, 3201), (1001, 2600), (1001, 2601)):
-        assert _scan_mask(lo, hi).tolist() == [bool(f) for f in flags[lo: hi + 1]]
+        assert _scan_flags(lo, hi) == flags[lo: hi + 1]
     assert sieve(3000).bits == _naive_bits(3000)
 
 
@@ -244,9 +268,7 @@ def test_presieved_segments_at_every_phase_of_the_pattern():
         for n in lengths:
             e = s + 2 * (n - 1)
             want = bytes(want_flags[s: e + 1: 2])
-            spread = np.zeros(e - s + 1, dtype=np.uint8)  # byte 2k for s + 2k
-            spread[::2] = np.frombuffer(want, dtype=np.uint8)
-            want_bits = int.from_bytes(np.packbits(spread, bitorder="little").tobytes(), "little")
+            want_bits = naive_pack(want, 2)  # bit 2k for s + 2k
             got = flags(s, e)
             assert got[:n] == want and not any(got[n:]) and len(got) % 4 == 0, (s, n)
             assert _pack(got, 2) == want_bits, (s, n)
@@ -264,8 +286,8 @@ def test_base_primes_are_the_odd_primes_up_to_the_root():
 
 def test_sieve_window_across_two_to_48():
     lo = 2**48 - 2000
-    got = _scan_mask(lo, 2**48 + 2000)
-    assert got.tolist() == [is_prime(n) for n in range(lo, 2**48 + 2001)]
+    got = _scan_flags(lo, 2**48 + 2000)
+    assert list(got) == [is_prime(n) for n in range(lo, 2**48 + 2001)]
 
 
 def _window_text(w):
@@ -273,13 +295,12 @@ def _window_text(w):
     prime, checked against its bytes."""
     text = format(w.bits, "b").zfill(w.size)[::-1]
     assert len(text) == w.size, (w.start, w.size)  # no bit past the window
-    assert np.array_equal(_window_mask(w),
-                          np.frombuffer(text.encode(), dtype=np.uint8) == ord("1"))
+    assert _flags_text(_window_flags(w)) == text
     return text
 
 
 def _flags_text(flags):
-    return (np.asarray(flags, dtype=np.uint8) + ord("0")).tobytes().decode()
+    return bytes(flags).translate(bytes.maketrans(b"\0\1", b"01")).decode()
 
 
 def _check_prime_windows(lo, hi, overlap, want):
@@ -302,24 +323,24 @@ def _check_prime_windows(lo, hi, overlap, want):
 
 
 def test_prime_windows_small_segments(monkeypatch):
-    flags = np.frombuffer(bytes(prime_flags(3000)), dtype=bool)
+    flags = prime_flags(3000)
     for bits in (8, 16):
         monkeypatch.setattr(arith, "SEGMENT_BITS", bits)
         for lo in (0, 1, 2):
             for hi in (lo - 1, lo, 40, 3000):
                 for overlap in (0, 1, 5, 10, 3 * bits):  # 3 * bits is past a segment
                     _check_prime_windows(lo, hi, overlap, flags[lo: hi + 1])
-                assert np.array_equal(_scan_mask(lo, hi), flags[lo: hi + 1])
+                assert _scan_flags(lo, hi) == flags[lo: hi + 1]
 
 
 def test_prime_windows_real_segments():
     top = 3 * 2 * SEGMENT_BITS + 100
-    flags = sieve(top).mask()
+    flags = prime_flags(top)
     for lo in (0, 1, 2):
         for overlap in (0, 10, 2 * SEGMENT_BITS + 7):
             _check_prime_windows(lo, top, overlap, flags[lo:])
     lo = 10**9
-    want = np.array([is_prime(n) for n in range(lo, lo + 3001)])
+    want = bytes(map(is_prime, range(lo, lo + 3001)))
     for overlap in (0, 10, 5000):
         _check_prime_windows(lo, lo + 3000, overlap, want)
     assert list(arith.prime_windows(10, 9)) == list(arith.prime_windows(10, 3, 5)) == []
@@ -611,6 +632,7 @@ def test_smooth_set_log_matches_pointwise():
         policy = SmoothnessPolicy.log_factor(factor)
         assert policy.is_smooth(n) == (n in smooth_set(policy, n)), n
     # the same boundary at every n <= 10**5 where the two logs differ here
+    import numpy as np
     logs = np.log(np.arange(1, 10**5 + 1, dtype=np.float64))
     for n in range(2, 10**5 + 1):
         if logs[n - 1] == math.log(n):

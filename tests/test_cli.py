@@ -635,7 +635,7 @@ def test_point_queries_start_without_numpy(tmp_path, capsys):
     # in-process
     scans = [["sieve", "--limit", "210000000"],
              ["tuple", "find", "--offsets=-2,2", "--window", "281474976710600,281474976710700"]]
-    # every test module imports numpy, so the check runs in a fresh interpreter
+    # a test module imports numpy, so the check runs in a fresh interpreter
     script = (
         "import contextlib, io, json, sys\n"
         "from decomplab.cli import run\n"

@@ -19,7 +19,7 @@ from . import _SLICE, _Record, _flags, _gather, _pack, _unpack, sets
 from .primes import (  # noqa: F401  (MAX_VALUE, factorize and is_prime are re-exported)
     MAX_VALUE, factorize, greatest_prime_factor, is_composite, is_prime)
 
-SEGMENT_BITS = 1 << 20  # odd numbers per sieve segment: 1 MiB of flags, 2**21 integers
+SEGMENT_BITS = 1 << 20  # most odd numbers in a sieve segment: 1 MiB of flags, 2**21 integers
 _BASE_PRIME_LIMIT = 1 << 24  # largest base prime, so windows reach 2**48
 _DEFAULT_SIEVE_BUDGET = 1 << 31  # bytes of packed bits
 _SIEVE_MAGIC = b"PSV1"
@@ -194,11 +194,15 @@ def _odd_sieve(hi: int):
     copy of the pattern.  Each larger p then crosses off its odd multiples
     from max(p * p, s) in one slice assignment from `zeros`, which is as
     long as the longest such slice: n / 17 + 2 bytes for n odd numbers, 17
-    being the least prime the pattern leaves.  A sweep (Python 3.11.7, 2
-    CPUs), one segment crossed off and packed by _pack(flags, 2), in ms:
+    being the least prime the pattern leaves; the flags' buffer and zeros
+    are allocated again only when a segment's length differs from the last
+    one's.  A sweep (Python 3.11.7, 2 CPUs), one segment crossed off and
+    packed by _pack(flags, 2), in ms, with the segment that _segment_bits
+    gives a scan to each height (below 9365**2 it is shorter):
 
         height      10**8    10**9    10**10   10**11   10**12   10**13
         base primes 1240     3403     9592     27292    78497    227646
+        segment     2**21    2**21    2**21    2**21    2**21    2**21 ints
         2**14 ints  0.6      1.1      2.8      7.0      18       44
         2**21 ints  5.9      7.2      12       22       56       75
 
@@ -208,22 +212,22 @@ def _odd_sieve(hi: int):
         raise sets.ResourceLimitError(f"sieving up to {hi} needs base primes above the "
                                       f"{_BASE_PRIME_LIMIT} limit")
     base = _base_primes(root)
-    most = min(SEGMENT_BITS, (hi + 1) // 2)  # odd numbers in the longest segment
     pattern = bytearray(b"\1") * _WHEEL
     for p in _WHEEL_PRIMES:  # byte k stands for 1 + 2k
         pattern[p // 2:: p] = bytes(len(range(p // 2, _WHEEL, p)))
     periods = memoryview(bytes(pattern) * 2)  # any phase's first period is one slice
     # 17, the least odd number > 1 the pattern keeps, is the least prime it leaves
-    zeros = bytearray(most // (2 * pattern.index(1, 1) + 1) + 2)
+    least = 2 * pattern.index(1, 1) + 1
     first = bisect_right(base, _WHEEL_PRIMES[-1])  # the primes the pattern leaves
-    out = bytearray()  # a segment's flags, reused: each call overwrites the last one's
+    out = zeros = bytearray()  # a segment's flags and zeros, reused by the next call
 
     def flags(s: int, e: int) -> bytearray:
         # padded with zeros to whole words, which crossing off past e keeps
-        nonlocal out
+        nonlocal out, zeros
         odd = (e - s) // 2 + 1
         if len(out) != -(-odd // 4) * 4:
             out = bytearray(-(-odd // 4) * 4)
+            zeros = bytearray(len(out) // least + 2)
         at = (s // 2) % _WHEEL
         filled = min(odd, _WHEEL)
         out[:filled] = periods[at: at + filled]
@@ -260,12 +264,22 @@ def _odd_sieve(hi: int):
     return flags
 
 
+def _segment_bits(hi: int) -> int:
+    """Odd numbers per segment of a scan up to hi: the least power of two
+    that is at least 512 r / ln r, r = isqrt(hi) (r / ln r estimates the base
+    primes, each of which costs a slice call per segment), and at most
+    SEGMENT_BITS: 2**17 at 10**6, 2**18 at 10**7, 2**19 from 4282**2
+    (about 1.8 * 10**7) and 2**20 from 9365**2 (about 8.8 * 10**7) up."""
+    r = math.isqrt(max(hi, 9))
+    return min(SEGMENT_BITS, 1 << (math.ceil(512 * r / math.log(r)) - 1).bit_length())
+
+
 def _base_primes(root: int) -> array:
     """The odd primes up to root in one array('I'), sieved a segment at a
     time."""
     base = array("I")
     if root >= 3:
-        flags, seg = _odd_sieve(root), 2 * SEGMENT_BITS
+        flags, seg = _odd_sieve(root), 2 * _segment_bits(root)
         for a in range(3, root + 1, seg):
             e = min(a + seg - 1, root)
             base.extend(compress(range(a, e + 1, 2), flags(a, e)))
@@ -277,12 +291,12 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
     repeats the last `overlap` integers of the one before, so any
     overlap + 1 consecutive integers lie in one window.  Its new integers
     start at 2**14, as lazy scans often stop in the first window, and double
-    up to one segment (2 * SEGMENT_BITS), but are at least
-    min(overlap, SEGMENT_BITS); a window spans at most
-    max(2 * SEGMENT_BITS, SEGMENT_BITS + overlap) integers."""
+    up to one segment of the scan, 2 * bits integers for
+    bits = _segment_bits(hi), but are at least min(overlap, bits); a window
+    spans at most max(2 * bits, bits + overlap) integers."""
     if lo < 0:
         raise ValueError(f"a prime scan needs lo >= 0, got {lo}")
-    seg = 2 * SEGMENT_BITS  # integers per segment
+    seg = 2 * _segment_bits(hi)  # integers per segment
     least, most = min(overlap, seg // 2), max(seg - overlap, seg // 2)
     fresh, start, end, reach = 1 << 14, lo, lo + overlap - 1, -1
     while start <= hi:
@@ -306,8 +320,8 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
 def _prime_bytes(lo: int, hi: int) -> bytes:
     """Primality over [lo, hi] in the cache's layout, bit i of byte j for
     lo + 8j + i: the prime scan's windows, joined once.  Every window but
-    the last holds a multiple of 8 integers (2**14 * 2**k up to
-    2 * SEGMENT_BITS), so each one's bytes follow on; O((hi - lo) / 8) bytes
+    the last holds a multiple of 8 integers (2**14 * 2**k up to a segment,
+    a power of two), so each one's bytes follow on; O((hi - lo) / 8) bytes
     of result plus one window of working space."""
     out = io.BytesIO()
     for w in prime_windows(lo, hi):

@@ -11,16 +11,19 @@ import pytest
 
 from decomplab import _pack, arith, primes
 from decomplab import (
+    OffsetTuple,
     PrimeSieve,
     ResourceLimitError,
     SmoothnessPolicy,
     factorize,
+    find_constellation,
     greatest_prime_factor,
     is_composite,
     is_prime,
     shifted_smooth_set,
     sieve,
     smooth_set,
+    verify_composite_decomposition,
 )
 from decomplab.arith import SEGMENT_BITS
 from decomplab.sets import MASK_BUDGET
@@ -252,6 +255,34 @@ def test_prime_scan_works_in_one_segment_of_memory():
     assert peak < 1, peak
 
 
+def test_segment_is_sized_by_the_scan_height():
+    # the least power of two >= 512 r / ln r odd numbers, r = isqrt(hi),
+    # capped at SEGMENT_BITS: the cap from 9365**2 (about 8.8 * 10**7) up
+    for hi in (156_000_000, 10**9, 10**12, 2**48):
+        assert arith._segment_bits(hi) == SEGMENT_BITS, hi
+    assert arith._segment_bits(25_000_000) == arith._segment_bits(56_000_000) == 2**19
+    for hi in (-1, 0, 1, 100, 10**6, 25_000_000, 56_000_000, 87_703_224, 87_703_225):
+        r = math.isqrt(max(hi, 9))
+        bits = arith._segment_bits(hi)
+        assert bits == SEGMENT_BITS or bits // 2 < 512 * r / math.log(r) <= bits, hi
+        assert bits & (bits - 1) == 0, hi
+    assert arith._segment_bits(87_703_224) == SEGMENT_BITS // 2
+    assert arith._segment_bits(87_703_225) == SEGMENT_BITS
+
+
+def test_scans_below_the_cap_work_in_their_own_segment():
+    # scans short of 8.8 * 10**7 strike segments of 2**18 or 2**19 odd
+    # numbers; each bound lies below the scan's peak with 2**20 (about 2.5,
+    # 2.8 and 3.6 MiB)
+    peak = _peak_mib(lambda: arith.tally_primes(24_628_345))
+    assert peak < 2, peak
+    peak = _peak_mib(lambda: verify_composite_decomposition(55_545_595))
+    assert peak < 2, peak
+    peak = _peak_mib(lambda: find_constellation(OffsetTuple((0, 6)), 12_453_559, 24_907_118,
+                                                require_consecutive=True))
+    assert peak < 3, peak
+
+
 def test_presieved_segments_at_every_phase_of_the_pattern():
     # the pattern fills a segment from the phase of s // 2 mod _WHEEL and
     # doubles; lengths in odd numbers about one and two periods, and a full
@@ -307,8 +338,9 @@ def _check_prime_windows(lo, hi, overlap, want):
     """prime_windows(lo, hi, overlap) gives want (primality over [lo, hi])
     once the repeated integers are dropped, repeats the last `overlap`
     integers of each window, so any overlap + 1 consecutive integers lie in
-    one window, and keeps each window's size in its bounds."""
-    bits = arith.SEGMENT_BITS
+    one window, and keeps each window's size in the bounds of the segment
+    the scan picks for its height."""
+    bits = arith._segment_bits(hi)
     end, fresh = lo - 1, []
     for w in arith.prime_windows(lo, hi, overlap):
         s = w.start

@@ -8,10 +8,12 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from operator import contains
 
-from . import _flags, _pack
+from . import _SLICE, _flags, _pack
 from .sets import DecompositionCandidate, IntegerSet
+
+
+_KEPT = 4  # core witnesses kept: 16 changed no count of the sum families' searches
 
 
 def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
@@ -26,34 +28,39 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
     sorted.  Since c(b + beta) = c(b) & S_beta, each part narrows its
     prefix's c once; and since c only shrinks, a prefix with fewer than two
     c has no accepted extension, so its subtree is skipped.  The stack keeps
-    one frame per level (prefix, its c, the pool indices left, its
-    witness), not Python frames, so a deep tree cannot reach the recursion
-    limit.
+    one frame per level (prefix, its c, the pool indices left), not Python
+    frames, so a deep tree cannot reach the recursion limit.
 
-    A rejected part hands a witness to its subtree: a target element t of
-    the core, [lo (+|*) M, hi (-|//) M] for the pool's largest M, or
-    [lo, hi] with full_window, which lies in every part's cover window.  No
-    beta of the part covers t, and a descendant's c is a subset of the
-    part's, so only the descendant's own new beta can: the descendant is
-    rejected, and keeps t, unless beta (+|*) x = t for some x in its c.
-    Only then is its cover checked in full.
+    A part whose cover check fails yields a witness: the least target
+    element it leaves uncovered in the core, [lo (+|*) M, hi (-|//) M] for
+    the pool's largest M, or [lo, hi] with full_window, which lies in every
+    part's cover window.  The walk keeps the last _KEPT of them, most
+    recently used first.  A part of two or more elements that leaves a kept
+    t uncovered, by |b| membership tests, is rejected without a check, and t
+    moves to the front.  And since c(b + S) is a subset of c(b), a
+    descendant of b covers t only through an element of b or a later pool
+    element beta' with t (-|/) beta' in c(b): when some kept t has neither,
+    b's subtree is skipped.  For the additive kind the later beta' are
+    every integer up to the pool's top, so that is one read of c over
+    [t - top, t - beta - 1].
 
     The path, path(target, additive, c_min), gives start, the c of the root
-    ((0,) or the empty part), and five steps: divides(d), whether d divides
+    ((0,) or the empty part), and six steps: divides(d), whether d divides
     a target element (read by multiplicative searches only);
     narrow(c, beta), c & S_beta, where S_beta holds the c whose combination
     with beta lands in the target or below the window, or None when fewer
     than two remain; covers(b, c, cover_lo, cover_hi, core_lo, core_hi),
     None when b (+|*) c holds every target element of [cover_lo, cover_hi],
     else the least one it misses in [core_lo, core_hi] if there is one, or
-    the least it misses; has(c, x), whether x is in c; and as_set(c,
-    climit), c as an IntegerSet on [c_min, climit], climit = hi (-|//)
-    max b.
+    the least it misses; holds(b, c, t), whether t is in b (+|*) c, by a
+    membership test per beta; meets(c, a, z), whether c has an element in
+    [a, z] (read by additive searches only); and as_set(c, climit), c as an
+    IntegerSet on [c_min, climit], climit = hi (-|//) max b.
     """
     lo, hi = target.window_lo, target.window_hi
     additive = kind == "additive"
     c_min = 0 if additive else 1
-    start, divides, narrow, covers, has, as_set = path(target, additive, c_min)
+    start, divides, narrow, covers, holds, meets, as_set = path(target, additive, c_min)
     # parts above hi are not tried: an additive one leaves climit < 0, and no
     # d > hi divides a target element
     top = min(max_b_elem, hi)
@@ -69,31 +76,46 @@ def _search(target: IntegerSet, kind: str, max_b_size: int, max_b_elem: int,
     else:
         core_lo, core_hi = lo * largest, hi // largest
 
+    def reaches(c, t, divisors, beta):  # whether a pool element past beta can cover t
+        if additive:
+            a, z = max(t - top, 0), t - beta - 1
+            return a <= z and meets(c, a, z)
+        return holds(divisors[bisect_right(divisors, beta):], c, t)
+
     accepted: list[DecompositionCandidate] = []
-    stack = [(head, start, iter(range(len(pool))), None)]
+    kept: list[tuple[int, list[int]]] = []  # (t, the pool's divisors of t), most recent first
+    stack = [(head, start, iter(range(len(pool))))]
     while stack:
-        prefix, c, rest, t = stack[-1]
+        prefix, c, rest = stack[-1]
         for i in rest:
             beta = pool[i]
             cb = narrow(c, beta)
             if cb is None:
                 continue
-            b, witness = prefix + (beta,), t
-            if t is not None and (t - beta >= 0 and has(cb, t - beta) if additive
-                                  else t % beta == 0 and has(cb, t // beta)):
-                witness = None  # beta covers t: check in full
-            if len(b) >= 2 and witness is None:
+            b, deep = prefix + (beta,), len(prefix) + 1 < max_b_size
+            uncovered = []  # the kept t that b leaves uncovered: a leaf needs only the first
+            for entry in kept:
+                if not holds(b, cb, entry[0]):
+                    uncovered.append(entry)
+                    if not deep:
+                        break
+            if len(b) >= 2 and uncovered:  # rejected: the first t moves to the front
+                kept.remove(uncovered[0])
+                kept.insert(0, uncovered[0])
+            elif len(b) >= 2:
                 edge, climit = (lo + beta, hi - beta) if additive else (lo * beta, hi // beta)
                 cover_lo, cover_hi = (lo, hi) if full_window else (edge, climit)
-                if cover_lo <= cover_hi:
-                    witness = covers(b, cb, cover_lo, cover_hi, core_lo, core_hi)
-                if witness is None:
+                t = None if cover_lo > cover_hi else covers(b, cb, cover_lo, cover_hi,
+                                                            core_lo, core_hi)
+                if t is None:  # an empty cover window holds every target element
                     accepted.append(DecompositionCandidate(kind, b, as_set(cb, climit),
                                                            (cover_lo, cover_hi)))
-                elif not core_lo <= witness <= core_hi:
-                    witness = None
-            if len(b) < max_b_size:
-                stack.append((b, cb, iter(range(i + 1, len(pool))), witness))
+                elif core_lo <= t <= core_hi:  # b covers every kept t, and not this one
+                    uncovered = [(t, [] if additive else [d for d in pool if t % d == 0])]
+                    kept.insert(0, uncovered[0])
+                    del kept[_KEPT:]
+            if deep and all(reaches(cb, *entry, beta) for entry in uncovered):
+                stack.append((b, cb, iter(range(i + 1, len(pool)))))
                 break
         else:
             stack.pop()
@@ -118,12 +140,14 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
     packed by divides for each d of the pool.  start is None, the c of the
     empty part: narrow(None, beta) returns q(beta) itself, shared and not
     copied, and otherwise ANDs c with it, which ends c at climit.  covers
-    spreads c to flags, ORs them into every beta-th byte, and compares the
-    result with T's flags; c >> 1 is the bits-form IntegerSet from 1."""
+    builds the cover one _SLICE of its window at a time, the core first:
+    b[0]'s flags go to every b[0]-th byte, each other beta's are ORed into
+    every beta-th, and the slice is compared with T's flags, a gap being
+    found by halving the slice.  c is spread to flags once, only as far as
+    the slices read, so a check that fails early spreads little of it; and
+    besides c's flags nothing as long as the window is allocated.  c >> 1 is
+    the bits-form IntegerSet from 1."""
     lo, hi = target.window_lo, target.window_hi
-
-    def has(c, x):  # costs about x bits, where c >> x would copy the rest of c
-        return c & (1 << x)
 
     if additive:
         t = target.as_bits() << lo
@@ -148,10 +172,16 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
                     return core
             return first
 
+        def holds(b, c, t):  # bit x costs about x bits, where c >> x would copy the rest of c
+            return any(c & (1 << (t - beta)) for beta in b if beta <= t)
+
+        def meets(c, a, z):
+            return c & ((2 << z) - (1 << a))
+
         def as_set(c, climit):
             return IntegerSet(c, c_min, climit)
 
-        return allowed, None, narrow, covers, has, as_set
+        return allowed, None, narrow, covers, holds, meets, as_set
 
     allowed = target.as_mask()
     allowed[1:lo] = b"\1" * (lo - 1)  # c_min = 1, and combinations below the window are free
@@ -168,35 +198,39 @@ def _dense_path(target: IntegerSet, additive: bool, c_min: int):
         return c if c & (c - 1) else None  # at least two bits set
 
     def covers(b, c, cover_lo, cover_hi, core_lo, core_hi):
-        cb = memoryview(_flags(c, 0, 0))
-        cover = bytearray(cover_hi + 1)
-        for beta in b:
-            n = min(len(cb), cover_hi // beta + 1)  # beta * c for c < n lies in the cover
-            hit = cb[:n]
-            if beta != b[0]:
-                hit = (int.from_bytes(cover[: beta * n: beta], "little")
-                       | int.from_bytes(hit, "little")).to_bytes(n, "little")
-            cover[: beta * n: beta] = hit
-        view = memoryview(cover)
+        raw = c.to_bytes((c.bit_length() + 7) // 8, "little")
+        flags = bytearray()  # byte x is 1 when x is in c, spread as far as a slice reads
+        for a, z in _spans(cover_lo, cover_hi, core_lo, core_hi):
+            for s in range(a, z + 1, _SLICE):  # the cover of [s, e], one slice at a time
+                e = min(s + _SLICE - 1, z)
+                flags += _flags(raw[len(flags) // 8: e // b[0] // 8 + 1], 0, 0)
+                cover = bytearray(e - s + 1)
+                for beta in b:
+                    first = -(-s // beta)  # beta * x lands in [s, e] for x in [first, e // beta]
+                    hit = flags[first: e // beta + 1]
+                    n, at = len(hit), beta * first - s
+                    if n and beta != b[0]:
+                        hit = (int.from_bytes(cover[at: at + beta * n: beta], "little")
+                               | int.from_bytes(hit, "little")).to_bytes(n, "little")
+                    cover[at: at + beta * n: beta] = hit
+                if not allowed.startswith(cover, s):  # cover lies in T: a mismatch is a gap
+                    view = memoryview(cover)
+                    while s < e:  # the first gap lies in [s, e]: halve that
+                        mid = (s + e) // 2
+                        if allowed.startswith(view[: mid - s + 1], s):
+                            view, s = view[mid - s + 1:], mid + 1
+                        else:
+                            e = mid
+                    return s
+        return None
 
-        def first_gap(a, z):  # the first byte of [a, z] where cover misses T, if any
-            if a > z or allowed.startswith(view[a: z + 1], a):  # past its end, startswith fails
-                return None
-            while a < z:  # the gap lies in [a, z]: halve that
-                mid = (a + z) // 2
-                if allowed.startswith(view[a: mid + 1], a):
-                    a = mid + 1
-                else:
-                    z = mid
-            return a
-
-        t = first_gap(core_lo, core_hi)
-        return first_gap(cover_lo, cover_hi) if t is None else t
+    def holds(b, c, t):
+        return any(c & (1 << (t // beta)) for beta in b if t % beta == 0)
 
     def as_set(c, climit):
         return IntegerSet(c >> 1, c_min, climit)
 
-    return None, divides, narrow, covers, has, as_set
+    return None, divides, narrow, covers, holds, None, as_set
 
 
 def _lowest(bits: int) -> int:
@@ -207,6 +241,14 @@ def _lowest(bits: int) -> int:
     while not (low := bits & ((1 << width) - 1)):
         width *= 4
     return (low & -low).bit_length() - 1
+
+
+def _spans(cover_lo, cover_hi, core_lo, core_hi):
+    """[cover_lo, cover_hi] in the order covers reads it for its first gap: the
+    core, then below it, then above it."""
+    if core_lo > core_hi:
+        return ((cover_lo, cover_hi),)
+    return (core_lo, core_hi), (cover_lo, core_lo - 1), (core_hi + 1, cover_hi)
 
 
 def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
@@ -241,22 +283,22 @@ def _sparse_path(target: IntegerSet, additive: bool, c_min: int):
         return c if len(c) >= 2 else None
 
     def covers(b, c, cover_lo, cover_hi, core_lo, core_hi):
-        # the first target element left uncovered: in the core, then below
-        # it, then above it
-        spans = (((core_lo, core_hi), (cover_lo, core_lo - 1), (core_hi + 1, cover_hi))
-                 if core_lo <= core_hi else ((cover_lo, cover_hi),))
-        for a, z in spans:
+        for a, z in _spans(cover_lo, cover_hi, core_lo, core_hi):
             ts = elems[bisect_left(elems, a): bisect_right(elems, z)]
-            if additive:
-                missed = (t for t in ts if not any(t - beta in c for beta in b))
-            else:
-                missed = (t for t in ts if not any(t % beta == 0 and t // beta in c for beta in b))
-            t = next(missed, None)
+            t = next((t for t in ts if not holds(b, c, t)), None)
             if t is not None:
                 return t
         return None
 
+    def holds(b, c, t):
+        if additive:
+            return any(t - beta in c for beta in b)
+        return any(t % beta == 0 and t // beta in c for beta in b)
+
+    def meets(c, a, z):
+        return not c.isdisjoint(range(a, z + 1))
+
     def as_set(c, climit):
         return IntegerSet(array("Q", sorted(c)), c_min, climit)
 
-    return (allowed if additive else None), divides, narrow, covers, contains, as_set
+    return (allowed if additive else None), divides, narrow, covers, holds, meets, as_set

@@ -367,23 +367,25 @@ def decompose_search(
     64 * (|target| + lo) <= hi: the target and the free range below the
     window fill at most 1/64 of it.  The factor comes from timing both
     paths in process on one machine, when every part rebuilt its c from
-    scratch.  Re-timed with the walk of search._search and its witnesses, on 2
-    CPUs (window / (|target| + lo) in brackets; dense, then sparse):
+    scratch.  Re-timed with the walk of search._search, its kept witnesses
+    and pruned subtrees, on 2 CPUs (window / (|target| + lo) in brackets;
+    dense, then sparse; medians of 5):
       - sum families, as mprim-scan searches them with parts
         (max_b_size, max_b_elem) = (3, 100): h_family {2,3,5}, k <= 3 at
-        1e5 [21] 0.20 s, 0.43 s; at 1e6 [118] 0.74 s, 0.94 s; {3,5},
-        k <= 3 at 1e6 [2632] 0.023 s, 0.010 s;
+        1e5 [21] 0.003 s, 0.024 s; at 1e6 [118] 0.013 s, 0.043 s; {3,5},
+        k <= 3 at 1e6 [2632] 0.009 s, 0.002 s;
       - random additive targets at 1e6 (a uniform sample, lo = 0), parts
-        (3, 16): [64] 0.017 s, 0.018 s; [256] 0.013 s, 0.004 s; (4, 8) at
-        [1024] 0.003 s, under 0.001 s;
+        (3, 16): [64] 0.004 s, 0.016 s; [256] 0.004 s, 0.004 s; (4, 8) at
+        [1024] 0.002 s, under 0.001 s;
       - smooth sets, whose elements share many small divisors: the log
-        policy with factor 2.5, parts (3, 20), at 4e5 [44] 0.042 s,
-        0.49 s; at 1e6 [66] 0.10 s, 0.84 s; at 1e7 [195] 1.0 s, 3.7 s.
-    The witnesses moved the sum families' crossover back up: the dense
-    path now wins on them at [21] and [118], and the sparse path at
-    [2632].  Random targets cross near [64], and smooth sets favour the
-    dense path up to [195].  The factor is kept as it was tuned, so a sum
-    family at [118] takes the slower path.
+        policy with factor 2.5, parts (3, 20), at 4e5 [44] 0.027 s,
+        0.40 s; at 1e6 [66] 0.065 s, 0.69 s; at 1e7 [195] 0.59 s, 3.3 s.
+    Pruning cut the sum families' times 3 to 60 times over on both paths
+    and left the dense path ahead up to [118]; random targets tie at [256],
+    and the sparse path wins from [1024].  Smooth sets favour the dense
+    path up to [195].  The factor is kept as it was tuned, so the targets
+    here from [64] to [195] take the slower path: 3 to 4 times slower for
+    the sum family and the random target, 6 to 11 times for smooth sets.
     Either way a window above MASK_BUDGET is refused.
 
     Only parts with |b| <= max_b_size are visible: a decomposition whose both

@@ -177,20 +177,36 @@ def multiplicative_accepted_parts(target, lo, hi, max_b_size, max_b_elem, full_w
     return sorted(accepted)
 
 
-def part_covers(target, lo, hi, b, additive, t):
-    """Whether t is in b (+|*) c for part b's maximal c, straight from the
-    definitions: c runs over [0, hi - max b] (additive) or [1, hi // max b]
-    (multiplicative) and keeps each x whose combination with every beta of b
-    lands in the target or below lo."""
+def maximal_c(target, lo, hi, b, additive):
+    """Part b's maximal c, straight from the definitions: c runs over
+    [0, hi - max b] (additive) or [1, hi // max b] (multiplicative) and
+    keeps each x whose combination with every beta of b lands in the target
+    or below lo."""
     tset = set(target)
     maxb = b[-1]
     if additive:
-        cvals = [c for c in range(0, hi - maxb + 1)
-                 if all(c + beta in tset or c + beta < lo for beta in b)]
+        return [c for c in range(0, hi - maxb + 1)
+                if all(c + beta in tset or c + beta < lo for beta in b)]
+    return [c for c in range(1, hi // maxb + 1)
+            if all(c * beta in tset or c * beta < lo for beta in b)]
+
+
+def part_covers(target, lo, hi, b, additive, t):
+    """Whether t is in b (+|*) c for part b's maximal c."""
+    cvals = maximal_c(target, lo, hi, b, additive)
+    if additive:
         return any(c + beta == t for c in cvals for beta in b)
-    cvals = [c for c in range(1, hi // maxb + 1)
-             if all(c * beta in tset or c * beta < lo for beta in b)]
     return any(c * beta == t for c in cvals for beta in b)
+
+
+def least_product_gap(target, b, c, cover, core):
+    """The least target element of the cover window [cover[0], cover[1]] that
+    b * c misses, taken from the core window first: None when none is
+    missed."""
+    products = {beta * x for beta in b for x in c}
+    gaps = [t for t in target if cover[0] <= t <= cover[1] and t not in products]
+    in_core = [t for t in gaps if core[0] <= t <= core[1]]
+    return (in_core or gaps or [None])[0]
 
 
 def additive_parts_by_subset_search(target, lo, hi, max_b_size, max_b_elem):

@@ -6,7 +6,7 @@ import time
 import tracemalloc
 from array import array
 from collections import Counter
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -31,6 +31,8 @@ from oracles import (
     additive_parts_by_subset_search,
     composite_cover_reports,
     composites_window,
+    least_product_gap,
+    maximal_c,
     multiplicative_accepted_parts,
     part_covers,
 )
@@ -588,7 +590,7 @@ def _counted(path, calls):
     """path with its narrow steps and its full cover checks counted in calls;
     every part checked keeps two c or more."""
     def counted(target, additive, c_min):
-        start, divides, narrow, covers, has, as_set = path(target, additive, c_min)
+        start, divides, narrow, covers, holds, meets, as_set = path(target, additive, c_min)
 
         def counted_narrow(c, beta):
             calls["narrow"] += 1
@@ -599,7 +601,7 @@ def _counted(path, calls):
             assert len(as_set(c, target.window_hi // b[-1])) >= 2, b
             return covers(b, c, *windows)
 
-        return start, divides, counted_narrow, counted_covers, has, as_set
+        return start, divides, counted_narrow, counted_covers, holds, meets, as_set
 
     return counted
 
@@ -635,72 +637,171 @@ class _Tagged:
         self.b, self.c = b, c
 
 
-def _tagged(path, visited, checked):
-    """path with every c tagged by its part: visited collects each part
-    narrowed to two c or more, and checked maps each part whose cover is
-    checked in full to what covers returned."""
+def _tagged(path, log):
+    """path with every c tagged by its part, and the walk's steps logged in
+    order: ("narrow", b) for each part b narrowed, to None or not, and
+    ("check", b, t) for each part whose cover is checked in full, t being
+    what covers returned."""
     def tagged(target, additive, c_min):
-        start, divides, narrow, covers, has, as_set = path(target, additive, c_min)
+        start, divides, narrow, covers, holds, meets, as_set = path(target, additive, c_min)
 
         def tag_narrow(node, beta):
+            b = node.b + (beta,)
+            log.append(("narrow", b))
             c = narrow(node.c, beta)
-            if c is None:
-                return None
-            visited.append(node.b + (beta,))
-            return _Tagged(node.b + (beta,), c)
+            return None if c is None else _Tagged(b, c)
 
         def tag_covers(b, node, *windows):
-            checked[b] = covers(b, node.c, *windows)
-            return checked[b]
+            t = covers(b, node.c, *windows)
+            log.append(("check", b, t))
+            return t
 
         return (_Tagged((0,) if additive else (), start), divides, tag_narrow, tag_covers,
-                lambda node, x: has(node.c, x), lambda node, climit: as_set(node.c, climit))
+                lambda b, node, t: holds(b, node.c, t), lambda node, a, z: meets(node.c, a, z),
+                lambda node, climit: as_set(node.c, climit))
 
     return tagged
 
 
-def test_rejections_by_an_inherited_witness_leave_it_uncovered():
-    # a part rejected with no full cover check inherits the witness t of its
-    # nearest checked prefix, which that check found uncovered in the core;
-    # by the definitions, t lies in the part's cover window and the part
-    # leaves it uncovered too.  Both paths, both kinds, one-point windows and
-    # the free range below lo = 1000, with and without full_window
-    rng = random.Random(25)
-    inherited = Counter()
-    for lo, hi, rounds in ((1, 1, 2), (5, 5, 2), (1, 12, 6), (3, 12, 6), (1, 40, 6),
-                           (7, 40, 6), (1, 150, 2), (1000, 1006, 2)):
+def _logged_searches(seed, windows, sizes):
+    """Random targets on the given (lo, hi, rounds), each searched on both
+    paths, both kinds and both coverage windows with _tagged: yields the
+    search's arguments, its log, the pool, its window rule and the core,
+    once the candidates are checked against the brute-force oracles."""
+    rng = random.Random(seed)
+    for lo, hi, rounds in windows:
         for _ in range(rounds):
             values = [v for v in range(lo, hi + 1) if rng.random() < 0.75] or [hi]
             target = IntegerSet(tuple(values), lo, hi)
             for kind, path, full, (size, elem) in product(
                     ("additive", "multiplicative"), (search._dense_path, search._sparse_path),
-                    (False, True), ((3, 8), (4, 6))):
+                    (False, True), sizes):
                 additive = kind == "additive"
-                visited, checked = [], {}
-                found = search._search(target, kind, size, elem, full,
-                                     _tagged(path, visited, checked))
+                log = []
+                found = search._search(target, kind, size, elem, full, _tagged(path, log))
                 oracle = additive_accepted_parts if additive else multiplicative_accepted_parts
                 assert [c.b for c in found] == oracle(values, lo, hi, size, elem, full)
                 pool = [d for d in range(1, min(elem, hi) + 1)
                         if additive or any(v % d == 0 for v in values)]
 
-                def window(m):
+                def window(m, full=full, additive=additive):
                     if full:
                         return lo, hi
                     return (lo + m, hi - m) if additive else (lo * m, hi // m)
 
-                core_lo, core_hi = window(pool[-1] if pool else 1)
-                for b in visited:
-                    cover_lo, cover_hi = window(b[-1])
-                    if len(b) < 2 or b in checked or cover_lo > cover_hi:
-                        continue
-                    prefix = next(b[:k] for k in range(len(b) - 1, 1, -1) if b[:k] in checked)
-                    t = checked[prefix]
-                    assert t is not None and core_lo <= t <= core_hi, (b, prefix, t)
-                    assert cover_lo <= t <= cover_hi and t in values, (b, t)
-                    assert not part_covers(values, lo, hi, b, additive, t), (values, lo, b, t)
-                    inherited[kind, path, full] += 1
-    assert len(inherited) == 8, inherited  # every kind, path and window rejects by a witness
+                core = window(pool[-1] if pool else 1)
+                yield values, lo, hi, kind, path, full, size, log, pool, window, core
+
+
+def _replay(log, values, lo, hi, additive, window, core):
+    """The kept witnesses of a logged walk, replayed from the definitions:
+    a check's witness in the core goes to the front of at most
+    search._KEPT, and a part of two or more elements rejected unchecked
+    moves the first kept t it leaves uncovered, by part_covers, to the
+    front.  Yields each part narrowed to two c or more, whether it was
+    checked, the kept t it leaves uncovered when it was not, and the kept
+    list after the part's step."""
+    kept = []
+    for k, step in enumerate(log):
+        b = step[1]
+        if step[0] == "check" or len(maximal_c(values, lo, hi, b, additive)) < 2:
+            continue
+        cover_lo, cover_hi = window(b[-1])
+        uncovered = []
+        checked = log[k + 1: k + 2] and log[k + 1][:2] == ("check", b)
+        if checked:
+            t = log[k + 1][2]
+            if t is not None and core[0] <= t <= core[1]:
+                kept = [t, *kept][:search._KEPT]
+        elif len(b) >= 2 and cover_lo <= cover_hi:
+            uncovered = [t for t in kept if cover_lo <= t <= cover_hi and t in values
+                         and not part_covers(values, lo, hi, b, additive, t)]
+            if uncovered:
+                kept = [uncovered[0], *(t for t in kept if t != uncovered[0])]
+        yield b, checked, uncovered, kept
+
+
+def test_rejections_by_an_inherited_witness_leave_it_uncovered():
+    # a part of two or more elements rejected with no full cover check
+    # leaves uncovered a kept witness: a target element t of the core that
+    # a check found uncovered, kept among the last search._KEPT used.  By
+    # the definitions, t lies in the part's cover window and the part leaves
+    # it uncovered too.  Both paths, both kinds, one-point windows and the
+    # free range below lo = 1000, with and without full_window
+    rejected = Counter()
+    for values, lo, hi, kind, path, full, size, log, pool, window, core in _logged_searches(
+            25, ((1, 1, 2), (5, 5, 2), (1, 12, 6), (3, 12, 6), (1, 40, 6), (7, 40, 6),
+                 (1, 150, 2), (1000, 1006, 2)), ((3, 8), (4, 6))):
+        additive = kind == "additive"
+        for b, checked, uncovered, kept in _replay(log, values, lo, hi, additive, window, core):
+            cover_lo, cover_hi = window(b[-1])
+            if len(b) >= 2 and not checked and cover_lo <= cover_hi:
+                assert uncovered, (values, lo, kind, full, b, kept)
+                rejected[kind, path, full] += 1
+    assert len(rejected) == 8, rejected  # every kind, path and window rejects by a witness
+
+
+def test_pruned_subtrees_hold_no_part_that_covers_a_kept_witness():
+    # a part whose subtree the walk does not enter, though the size allows
+    # it and the pool has elements past the part's last, was pruned by a
+    # kept witness t: every part below it, enumerated here, leaves t
+    # uncovered, by part_covers.  Both kinds, both paths, with and without
+    # full_window; the candidates equal the oracles' throughout
+    pruned = Counter()
+    for values, lo, hi, kind, path, full, size, log, pool, window, core in _logged_searches(
+            31, ((1, 12, 4), (3, 30, 6), (1, 60, 6), (7, 60, 6), (1, 150, 3), (1000, 1010, 2)),
+            ((3, 8), (4, 6))):
+        additive = kind == "additive"
+        prefixes = {step[1][:-1] for step in log if step[0] == "narrow"}
+        for b, checked, uncovered, kept in _replay(log, values, lo, hi, additive, window, core):
+            later = [d for d in pool if d > b[-1]]
+            if len(b) >= size or not later or b in prefixes:
+                continue  # a leaf, or a subtree the walk entered
+            below = [b + rest for n in range(1, size - len(b) + 1)
+                     for rest in combinations(later, n)]
+            assert any(all(not part_covers(values, lo, hi, part, additive, t) for part in below)
+                       for t in kept), (values, lo, hi, kind, full, b, kept)
+            pruned[kind, path, full] += 1
+    assert len(pruned) == 8, pruned  # every kind, path and window prunes a subtree
+
+
+def test_sliced_multiplicative_cover_finds_the_least_gap(monkeypatch):
+    # slices of 8 and 16 integers: gaps made at a slice's edges, at the
+    # core's edges, below and above the core, and none; covers returns the
+    # least gap in the core, else the least gap, as the oracle does
+    rng = random.Random(31)
+    for width in (8, 16):
+        monkeypatch.setattr(search, "_SLICE", width)
+        for lo, hi in ((1, 130), (3, 250), (10, 400)):
+            b0 = rng.sample(range(1, 7), 3)
+            c0 = rng.sample(range(1, hi // max(b0) + 1), min(hi // max(b0), 40))
+            values = sorted({x * y for x in b0 for y in c0 if lo <= x * y}
+                            | set(rng.sample(range(lo, hi + 1), 10)))
+            target = IntegerSet(tuple(values), lo, hi)
+            _, divides, narrow, covers, _, _, as_set = search._dense_path(target, False, 1)
+            pool = [d for d in range(1, 9) if divides(d)]
+            for b in (b for n in (1, 2, 3) for b in combinations(pool, n)):
+                c = None
+                for beta in b:
+                    c = narrow(c, beta)
+                    if c is None:
+                        break
+                else:
+                    for full, m in product((False, True), [m for m in pool if m >= b[-1]]):
+                        cover = (lo, hi) if full else (lo * b[-1], hi // b[-1])
+                        core = (lo, hi) if full else (lo * m, hi // m)
+                        edges = {e + d for a in (cover[0], core[0], core[1] + 1)
+                                 for e in range(a, cover[1] + 1, width) for d in (-1, 0)}
+                        edges |= {cover[1], core[1]}
+                        gaps = [t for t in values if t in edges and cover[0] <= t <= cover[1]]
+                        for made in ((), *([t] for t in gaps), rng.sample(gaps, min(3, len(gaps)))):
+                            cut = c
+                            for t, beta in product(made, b):  # t loses every x that covers it
+                                if t % beta == 0:
+                                    cut &= ~(1 << (t // beta))
+                            cvals = list(as_set(cut, hi // b[-1]))
+                            want = least_product_gap(values, b, cvals, cover, core)
+                            assert covers(b, cut, *cover, *core) == want, (width, values, b, made)
 
 
 def test_decompose_matches_exhaustive_complement_search():

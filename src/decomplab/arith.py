@@ -29,6 +29,7 @@ _WHEEL = 3 * 5 * 7 * 11 * 13  # odd numbers in one period of the pattern
 # (_KEEP) or, below cut_p, only a source for larger n (_LATE)
 _KEEP, _LATE = b"\0" + b"\1" * 255, b"\0" + b"\2" * 255
 _ONLY_ONE, _NOT = b"\0\1" + bytes(254), b"\1" + bytes(255)
+_COMPLEMENT = bytes(range(255, -1, -1))  # every bit of a byte flipped
 # _complement_is_cheaper's costs, in bytes the closure copies: fitted to both
 # paths at 10**6 and 10**7 integers (Python 3.11.7, 2 CPUs)
 _SLICE_BYTES = 1000  # one slice of the closure
@@ -186,7 +187,10 @@ def _odd_sieve(hi: int):
     crossing-off of one segment of odd numbers s, s + 2, ... <= e (s odd)
     with the base primes p, p * p <= e.  flags(s, e) returns a bytearray
     whose byte k is 1 when s + 2k is prime, padded with zeros to whole
-    words; it is one buffer, which the next call overwrites.
+    words; it is one buffer, which the next call overwrites, so the prime
+    scan packs its windows' shares of a strike segment before it strikes
+    the next, and a window that crosses the segment's edge takes its
+    repeated integers from the window before, not from these flags.
     A segment starts from the pattern with the multiples of 3, 5, 7, 11 and
     13 crossed off, _WHEEL bytes long: one period at the segment's phase,
     sliced from two periods of it, is doubled in place up to the segment's
@@ -195,10 +199,11 @@ def _odd_sieve(hi: int):
     from max(p * p, s) in one slice assignment from `zeros`, which is as
     long as the longest such slice: n / 17 + 2 bytes for n odd numbers, 17
     being the least prime the pattern leaves; the flags' buffer and zeros
-    are allocated again only when a segment's length differs from the last
-    one's.  A sweep (Python 3.11.7, 2 CPUs), one segment crossed off and
-    packed by _pack(flags, 2), in ms, with the segment that _segment_bits
-    gives a scan to each height (below 9365**2 it is shorter):
+    are allocated again, once the old ones are freed, only when a segment's
+    length differs from the last one's.  A sweep (Python 3.11.7, 2 CPUs),
+    one segment crossed off and packed by _pack(flags, 2), in ms, with the
+    segment that _segment_bits gives a scan to each height (below 9365**2
+    it is shorter):
 
         height      10**8    10**9    10**10   10**11   10**12   10**13
         base primes 1240     3403     9592     27292    78497    227646
@@ -226,6 +231,7 @@ def _odd_sieve(hi: int):
         nonlocal out, zeros
         odd = (e - s) // 2 + 1
         if len(out) != -(-odd // 4) * 4:
+            out = zeros = None  # the last buffers are freed before the new ones are made
             out = bytearray(-(-odd // 4) * 4)
             zeros = bytearray(len(out) // least + 2)
         at = (s // 2) % _WHEEL
@@ -291,51 +297,72 @@ def prime_windows(lo: int, hi: int, overlap: int = 0):
     repeats the last `overlap` integers of the one before, so any
     overlap + 1 consecutive integers lie in one window.  Its new integers
     start at 2**14, as lazy scans often stop in the first window, and double
-    up to one segment of the scan, 2 * bits integers for
-    bits = _segment_bits(hi), but are at least min(overlap, bits); a window
-    spans at most max(2 * bits, bits + overlap) integers."""
+    up to cap = min(2 * bits, 8 * _SLICE) integers for bits =
+    _segment_bits(hi), so that they hold 64 KiB of bits or less, but are at
+    least min(overlap, cap // 2); a window spans at most
+    max(cap, cap // 2 + overlap) integers.  With overlap 0, every window but
+    the last holds a multiple of 8 integers (2**14 * 2**k up to the cap).
+
+    The strike segment is sized apart from the windows.  It is struck from
+    the first integer no segment has covered: to the window's end, or on
+    as far again as the scan has come from lo once that is further, but
+    never over 2 * bits integers (bits odd numbers).  A window packs its
+    new integers from the segment by stride-4 slices limited to its share,
+    and from the start of the next segment if it crosses an edge.  Its
+    repeated integers come from the last window's int, as the next strike
+    overwrites the flags."""
     if lo < 0:
         raise ValueError(f"a prime scan needs lo >= 0, got {lo}")
-    seg = 2 * _segment_bits(hi)  # integers per segment
-    least, most = min(overlap, seg // 2), max(seg - overlap, seg // 2)
-    fresh, start, end, reach = 1 << 14, lo, lo + overlap - 1, -1
-    while start <= hi:
+    seg = 2 * _segment_bits(hi)  # integers per strike segment
+    cap = min(seg, 8 * _SLICE)
+    least, most = min(overlap, cap // 2), max(cap - overlap, cap // 2)
+    fresh, reach, b, start, x, bits = 1 << 14, -1, -1, lo, lo, 0
+    while x <= hi:  # the new integers: [x, end]
         fresh = min(max(fresh, least), most)
-        end = min(end + fresh, hi)
-        if end > reach:
-            # base primes up to sqrt(4 * end): sieved again once end quadruples,
-            # and refused only by a window that needs primes above the limit
-            reach = min(4 * end, hi, max(end, _BASE_PRIME_LIMIT ** 2))
-            flags = _odd_sieve(reach)
-        bits = 0
-        for a in range(start | 1, end + 1, seg):  # one segment of flags at a time
-            bits |= _pack(flags(a, min(a + seg - 1, end)), 2) << (a - start)
-        if start <= 2 <= end:
+        # the repeated integers, from the last window's int, which is freed
+        # here, before the new integers are packed
+        bits >>= max(x - overlap, lo) - start
+        start, end = max(x - overlap, lo), min(max(x, lo + overlap) + fresh - 1, hi)
+        if x <= 2 <= end:
             bits |= 1 << (2 - start)
+        x |= 1
+        while x <= end:
+            if x > b:  # strike the next segment, of odd numbers [x, b]
+                flags = None  # a new segment's buffer replaces this one, not joins it
+                if end > reach:
+                    # base primes up to sqrt(4 * end): sieved again once end
+                    # quadruples, and refused only by a window that needs
+                    # primes above the limit
+                    reach = min(4 * end, hi, max(end, _BASE_PRIME_LIMIT ** 2))
+                    cross = _odd_sieve(reach)
+                a, b = x, min(max(end, 2 * x - lo - 1), x + seg - 1, reach)
+                flags = cross(a, b)
+            k, z = (x - a) // 2, (min(end, b) - a) // 2 + 1  # flags [k, z): [x, min(end, b)]
+            piece = int.from_bytes(flags[k: z: 4], "little")
+            for j in (1, 2, 3):  # flags k + j + 4i on bit 2j + 8i
+                piece |= int.from_bytes(flags[k + j: z: 4], "little") << 2 * j
+            bits = bits | piece << (x - start) if bits else piece << (x - start)  # 0 | p copies p
+            x = a + 2 * z
         yield PrimeWindow(start, end - start + 1, bits)
-        start = end - overlap + 1 if end < hi else hi + 1
-        fresh *= 2
-
-
-def _prime_bytes(lo: int, hi: int) -> bytes:
-    """Primality over [lo, hi] in the cache's layout, bit i of byte j for
-    lo + 8j + i: the prime scan's windows, joined once.  Every window but
-    the last holds a multiple of 8 integers (2**14 * 2**k up to a segment,
-    a power of two), so each one's bytes follow on; O((hi - lo) / 8) bytes
-    of result plus one window of working space."""
-    out = io.BytesIO()
-    for w in prime_windows(lo, hi):
-        out.write(w.to_bytes())
-    return out.getvalue()  # the buffer itself, not a copy of it
+        x, fresh = end + 1, 2 * fresh
 
 
 def composite_bits(lo: int, hi: int) -> int:
     """Compositeness over [lo, hi] as one int: bit i says whether lo + i is
-    composite.  It is the complement of the prime bits, less 0 and 1, which
-    are neither prime nor composite."""
-    bits = int.from_bytes(_prime_bytes(lo, hi), "little") ^ ((1 << (hi - lo + 1)) - 1)
-    below_two = max(2 - lo, 0)
-    return bits >> below_two << below_two
+    composite, 0 for an empty window.  It is the complement of the prime
+    bits, less 0 and 1, which are neither prime nor composite: each window's
+    bytes are complemented by a table as they are joined, then 0, 1 and
+    the padding bits past hi are cleared in place.  The buffer is a
+    BytesIO's, as int.from_bytes would copy a bytearray to bytes first."""
+    if hi < lo:
+        return 0
+    out = io.BytesIO()
+    for w in prime_windows(lo, hi):
+        out.write(w.to_bytes().translate(_COMPLEMENT))
+    with out.getbuffer() as view:
+        for i in (*range(2 - lo), *range(hi + 1 - lo, 8 * len(view))):
+            view[i >> 3] &= ~(1 << (i & 7))
+    return int.from_bytes(out.getvalue(), "little")  # the buffer itself, not a copy of it
 
 
 def _check_sieve_limit(limit: int) -> None:
@@ -348,22 +375,26 @@ def _check_sieve_limit(limit: int) -> None:
 
 
 def sieve(limit: int) -> PrimeSieve:
-    """The prime scan's windows over [0, limit], joined into one bitset;
-    O(limit/8) bytes of result bits plus one window of working space.
-    For the count, the largest prime or a cache file alone, tally_primes
-    needs the window only."""
+    """The prime scan's windows over [0, limit], joined once into one
+    bitset: each one's bytes follow on, as every window but the last holds
+    a multiple of 8 integers.  O(limit/8) bytes of result bits plus one
+    strike segment and one window of working space.  For the count, the
+    largest prime or a cache file alone, tally_primes needs no bitset."""
     _check_sieve_limit(limit)
-    return PrimeSieve(limit, _prime_bytes(0, limit))
+    out = io.BytesIO()
+    for w in prime_windows(0, limit):
+        out.write(w.to_bytes())
+    return PrimeSieve(limit, out.getvalue())  # the buffer itself, not a copy of it
 
 
 def tally_primes(limit: int, cache=None) -> tuple[int, int | None, bool]:
     """(number of primes, largest prime, whether the cache gave them) over
-    [0, limit], in one window of memory.  A `.psv` file at cache whose
-    header holds this limit is tallied _SLICE bytes at a time; a file with
-    another limit is judged from its header alone.  Otherwise the prime
-    scan is tallied window by window, and with a cache each window's bytes
-    are written to it as they come (see _psv_writer).  The limit is
-    checked before any file is opened."""
+    [0, limit], in one strike segment and one window of memory.  A `.psv`
+    file at cache whose header holds this limit is tallied _SLICE bytes at
+    a time; a file with another limit is judged from its header alone.
+    Otherwise the prime scan is tallied window by window, and with a cache
+    each window's bytes are written to it as they come (see _psv_writer).
+    The limit is checked before any file is opened."""
     _check_sieve_limit(limit)
     if cache and os.path.exists(cache):
         with open(cache, "rb") as fh:

@@ -156,7 +156,7 @@ def _naive_bits(limit):
 
 
 # the ends of the prime scan's first windows from 0: 2**14 new integers,
-# doubling up to one segment
+# doubling up to the window cap of 2**19, then 2**19 at a time
 SCAN_EDGES = [2**14 * (2**k - 1) + d for k in range(1, 9) for d in (-3, 3)]
 
 
@@ -255,6 +255,16 @@ def test_prime_scan_works_in_one_segment_of_memory():
     assert peak < 1, peak
 
 
+def test_scan_at_the_segment_cap_packs_windows_of_64_kib():
+    # 2**21-integer strike segments packed 2**19 integers at a time: the
+    # segment's 1 MiB of flags and zeros of n / 17 bytes, plus a window of
+    # 64 KiB of bits and its slices; a window as long as the segment, with
+    # the segment-wide temporaries of its packing, peaked at 2.49 MiB
+    assert arith._segment_bits(156_548_358) == SEGMENT_BITS
+    peak = _peak_mib(lambda: arith.tally_primes(156_548_358))
+    assert peak < 1.6, peak
+
+
 def test_segment_is_sized_by_the_scan_height():
     # the least power of two >= 512 r / ln r odd numbers, r = isqrt(hi),
     # capped at SEGMENT_BITS: the cap from 9365**2 (about 8.8 * 10**7) up
@@ -338,16 +348,17 @@ def _check_prime_windows(lo, hi, overlap, want):
     """prime_windows(lo, hi, overlap) gives want (primality over [lo, hi])
     once the repeated integers are dropped, repeats the last `overlap`
     integers of each window, so any overlap + 1 consecutive integers lie in
-    one window, and keeps each window's size in the bounds of the segment
-    the scan picks for its height."""
-    bits = arith._segment_bits(hi)
+    one window, and keeps each window's size in the bounds of the window
+    cap: the segment the scan picks for its height, 2 * bits integers, or
+    8 * _SLICE (64 KiB of bits) if that is less."""
+    cap = min(2 * arith._segment_bits(hi), 8 * arith._SLICE)
     end, fresh = lo - 1, []
     for w in arith.prime_windows(lo, hi, overlap):
         s = w.start
         assert s == max(end - overlap + 1, lo), (lo, hi, overlap, s, end)
         new = s + w.size - 1 - end
-        assert w.size <= max(2 * bits, bits + overlap)
-        assert new >= min(overlap, bits) or s + w.size - 1 == hi
+        assert w.size <= max(cap, cap // 2 + overlap)
+        assert new >= min(overlap, cap // 2) or s + w.size - 1 == hi
         fresh.append(_window_text(w)[w.size - new:])
         end += new
     assert end == max(hi, lo - 1)
@@ -378,6 +389,35 @@ def test_prime_windows_real_segments():
     assert list(arith.prime_windows(10, 9)) == list(arith.prime_windows(10, 3, 5)) == []
 
 
+def test_windows_with_an_overlap_cross_strike_segment_edges(monkeypatch):
+    # 32-integer strike segments and windows of at most 16 new integers:
+    # with an overlap, windows cross segment edges, and their repeated
+    # integers come from the window before, as no integer is struck twice
+    monkeypatch.setattr(arith, "SEGMENT_BITS", 16)
+    monkeypatch.setattr(arith, "_SLICE", 2)
+    kernel, strikes = arith._odd_sieve, []
+
+    def recorded(hi):
+        cross = kernel(hi)
+        return lambda s, e: strikes.append((s, e)) or cross(s, e)
+
+    monkeypatch.setattr(arith, "_odd_sieve", recorded)
+    flags = prime_flags(3000)
+    for lo in (0, 1, 2, 1000, 1001):
+        for overlap in (0, 1, 5, 10, 15, 16, 40):
+            _check_prime_windows(lo, 3000, overlap, flags[lo:])
+            if lo < 1000:  # from lo = 1000 up, the base primes' own strikes (below 55) are left out
+                continue
+            strikes.clear()
+            ends = [w.start + w.size - 1 for w in arith.prime_windows(lo, 3000, overlap)]
+            scan = [(s, e) for s, e in strikes if s >= lo]
+            assert scan[0][0] == lo | 1 and scan[-1][1] == 3000, (lo, overlap)
+            for (s, e), (t, _) in zip(scan, scan[1:]):
+                assert e - s < 32 and t == (e + 1) | 1, (lo, overlap, scan)
+            crossing = [end for end in ends for s, e in scan if end - 16 < e < end]
+            assert crossing or not overlap, (lo, overlap)
+
+
 def _composite_text(lo, hi, flags):
     return "".join("1" if n > 1 and not flags[n] else "0" for n in range(lo, hi + 1))
 
@@ -395,7 +435,10 @@ def test_composite_bits_complement_the_prime_bits(monkeypatch):
             text = format(got, "b").zfill(hi - lo + 1)[::-1]
             assert text == _composite_text(lo, hi, flags), (bits, lo, hi)
     monkeypatch.undo()
-    top = 2 * (2 * SEGMENT_BITS) + 40  # past two windows of the real scan, each edge inside
+    # an empty window has no bits, even one wholly below 0
+    assert arith.composite_bits(5, 4) == arith.composite_bits(0, -1) == 0
+    assert arith.composite_bits(0, -5) == 0
+    top = 2 * (2 * SEGMENT_BITS) + 40  # 13 windows of the real scan, each edge inside
     bits = arith.composite_bits(1, top)
     assert bits == arith.composite_bits(0, top) >> 1
     for edge in [2 * SEGMENT_BITS * k for k in (1, 2)] + SCAN_EDGES[:6]:

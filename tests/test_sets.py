@@ -611,8 +611,10 @@ def test_search_narrows_once_per_part_and_skips_small_c():
     # the walk narrows far fewer parts than the 1,285,750 of sizes 2..4 in
     # its pool, and checks the cover only of parts with two c or more.
     # {2, 3, 5}: all 164,276 parts of sizes 2..3 keep two c or more and are
-    # rejected, and the witnesses their prefixes hand down reject most of
-    # them with one membership test each, unchecked
+    # rejected; the kept list of core witnesses rejects most parts it
+    # narrows with one membership test each, unchecked, and prunes the
+    # subtrees that cannot cover a kept witness, so the walk narrows 289
+    # parts and checks the cover of 4 in full
     for gamma, size, narrows, checks in (([3, 5], 4, 60000, None), ([2, 3, 5], 3, None, 10000)):
         target = h_family(GammaSemigroup.of(gamma), 3, 10**5, cumulative=True)
         counts = []
